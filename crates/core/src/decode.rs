@@ -17,8 +17,11 @@
 //! the serial decoder otherwise — the overflow discipline of §VI-C.
 
 use etsqp_encoding::ts2diff::Ts2DiffPage;
-use etsqp_encoding::{delta_rle, rle, sprintz, stream_vbyte, ts2diff, Encoding};
+use etsqp_encoding::{
+    delta_rle, f64_to_ordered_i64, rle, sprintz, stream_vbyte, ts2diff, Encoding,
+};
 use etsqp_simd::{scan, svb, transpose, unpack, LANES32};
+use etsqp_storage::page::Page;
 
 use crate::cost::{choose_nv, CostConstants};
 use crate::{Error, Result};
@@ -236,9 +239,11 @@ fn rebuild_decode_serial(page: &Ts2DiffPage<'_>) -> Result<Vec<i64>> {
     Ok(values)
 }
 
-/// Decodes any integer-encoded column into `out`, using the vectorized
-/// TS2DIFF pipeline where it applies and the serial reference decoders
-/// otherwise.
+/// Decodes any column into `out`, using the vectorized TS2DIFF pipeline
+/// where it applies and the serial reference decoders otherwise. Float
+/// columns decode into their order-preserving `f64_to_ordered_i64`
+/// images (see [`crate::expr::ValueType`]) — this is the one place a
+/// float value column enters the integer pipeline.
 pub fn decode_column(
     encoding: Encoding,
     bytes: &[u8],
@@ -268,12 +273,27 @@ pub fn decode_column(
             let page = stream_vbyte::parse(bytes).map_err(Error::Encoding)?;
             decode_svb(&page, opts, out)
         }
+        float if float.is_float() => {
+            let decoded = float.decode_f64(bytes).map_err(Error::Encoding)?;
+            *out = decoded.into_iter().map(f64_to_ordered_i64).collect();
+            Ok(out.len())
+        }
         other => {
             let decoded = other.decode_i64(bytes).map_err(Error::Encoding)?;
             *out = decoded;
             Ok(out.len())
         }
     }
+}
+
+/// Serial reference decode of both page columns (checksum-verified),
+/// float values as ordered-i64 images like [`decode_column`].
+pub(crate) fn decode_page(page: &Page) -> Result<(Vec<i64>, Vec<i64>)> {
+    if !page.header.val_encoding.is_float() {
+        return page.decode().map_err(Error::Storage);
+    }
+    let (ts, vals) = page.decode_f64().map_err(Error::Storage)?;
+    Ok((ts, vals.into_iter().map(f64_to_ordered_i64).collect()))
 }
 
 /// Vectorized Sprintz decode: unpack ZigZag deltas, un-ZigZag lane-wise,

@@ -4,10 +4,11 @@
 use etsqp_encoding::Encoding;
 use etsqp_storage::store::SeriesStore;
 
+use crate::expr::{AggFunc, FloatRange, Plan, Predicate, TimeRange, ValueType};
 use crate::fused::FuseLevel;
-use crate::plan::{execute, PipelineConfig, QueryResult};
+use crate::plan::{execute, PipelineConfig, QueryResult, Value};
 use crate::sql;
-use crate::Result;
+use crate::{Error, Result};
 
 /// Engine-level options (per-database defaults for every query).
 #[derive(Debug, Clone, Copy)]
@@ -87,12 +88,6 @@ impl EngineOptions {
         self
     }
 
-    /// Selects the job executor (persistent pool vs spawn-per-query).
-    pub fn with_scheduler(mut self, scheduler: crate::exec::Scheduler) -> Self {
-        self.pipeline.scheduler = scheduler;
-        self
-    }
-
     /// Sets the ingest-map shard count (rounded up to a power of two).
     pub fn with_ingest_shards(mut self, shards: usize) -> Self {
         self.ingest_shards = shards;
@@ -104,6 +99,15 @@ impl EngineOptions {
         self.seal_interval = Some(interval);
         self
     }
+}
+
+/// The scan of a float series under optional time and value ranges.
+fn float_scan(series: &str, time: Option<TimeRange>, float: Option<FloatRange>) -> Plan {
+    Plan::scan(series).filter(Predicate {
+        time,
+        float,
+        ..Predicate::default()
+    })
 }
 
 /// An embedded IoT time-series database with the ETSQP query engine.
@@ -198,26 +202,54 @@ impl IotDb {
         Ok(())
     }
 
-    /// Aggregates a float series over optional time/value ranges.
+    /// Aggregates a float series over optional time/value ranges: the
+    /// plan `SELECT func(series) WHERE …` on the engine pipeline. `None`
+    /// when no value qualifies; COUNT comes back as a float.
     pub fn aggregate_f64(
         &self,
         series: &str,
-        trange: Option<crate::expr::TimeRange>,
-        vrange: Option<crate::float::FloatRange>,
-        func: crate::expr::AggFunc,
+        trange: Option<TimeRange>,
+        vrange: Option<FloatRange>,
+        func: AggFunc,
     ) -> Result<Option<f64>> {
-        let (agg, _) =
-            crate::float::aggregate_f64(&self.store, series, trange, vrange, &self.opts.pipeline)?;
-        Ok(agg.finish(func))
+        let plan = float_scan(series, trange, vrange).aggregate(func);
+        let rows = self.execute_f64(&plan, series)?;
+        Ok(rows
+            .first()
+            .map(|r| r[0])
+            .filter(|v| *v != Value::Null)
+            .map(|v| v.as_f64()))
     }
 
-    /// Scans a float series' qualifying rows.
+    /// Scans a float series' qualifying rows, in time order.
     pub fn scan_f64(
         &self,
         series: &str,
-        trange: Option<crate::expr::TimeRange>,
+        trange: Option<TimeRange>,
     ) -> Result<(Vec<i64>, Vec<f64>)> {
-        crate::float::scan_f64(&self.store, series, trange, &self.opts.pipeline)
+        let rows = self.execute_f64(&float_scan(series, trange, None), series)?;
+        // Every row of a float source is `(Int(time), Float(value))`.
+        Ok(rows
+            .iter()
+            .filter_map(|r| match (r[0], r[1]) {
+                (Value::Int(t), Value::Float(v)) => Some((t, v)),
+                _ => None,
+            })
+            .unzip())
+    }
+
+    /// Compiles and runs a plan over one float series; a non-empty
+    /// integer series is a typed [`Error::Plan`].
+    fn execute_f64(&self, plan: &Plan, series: &str) -> Result<Vec<Vec<Value>>> {
+        let cfg = &self.opts.pipeline;
+        let phys = crate::physical::pipe::compile(plan, &self.store, cfg)?;
+        let p = &phys.pipelines[0];
+        if p.val_type == ValueType::I64 && (!p.pages.is_empty() || p.hot.is_some()) {
+            return Err(Error::Plan(format!("{series} is not a float series")));
+        }
+        let stats = crate::exec::ExecStats::default();
+        let ctl = crate::cancel::CancellationToken::none();
+        Ok(crate::physical::driver::run(&phys, &self.store, cfg, &stats, &ctl)?.1)
     }
 
     /// Parses and executes one SQL statement. An `EXPLAIN <query>`
@@ -308,7 +340,6 @@ impl IotDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Value;
 
     fn seeded_db(opts: EngineOptions) -> IotDb {
         let db = IotDb::new(opts);

@@ -2,6 +2,8 @@
 //! (filters, aggregations, sliding windows, concatenation, natural join),
 //! the input to the `Pipe` pipeline generator (Algorithm 2).
 
+use etsqp_encoding::{f64_to_ordered_i64, Encoding};
+
 /// Aggregation functions (`f` in `f(e, mask)` / `G_sw:f`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
@@ -122,16 +124,84 @@ impl TimeRange {
     }
 }
 
+/// The value type of a series. Floats travel through the pipeline as
+/// their order-preserving `f64_to_ordered_i64` images, the domain float
+/// page headers keep their min/max in; only Σ/Σ² accumulate in `f64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ValueType {
+    /// Integer values.
+    #[default]
+    I64,
+    /// Float values (GorillaFloat / Chimp / Elf columns).
+    F64,
+}
+
+impl ValueType {
+    /// The value type stored by a value codec.
+    pub(crate) fn of(val_encoding: Encoding) -> ValueType {
+        if val_encoding.is_float() {
+            ValueType::F64
+        } else {
+            ValueType::I64
+        }
+    }
+}
+
+/// The ordered-i64 images of `-inf` and `+inf`: every non-NaN float's
+/// image lies between them, every NaN image outside.
+pub(crate) const NON_NAN_IMAGES: (i64, i64) =
+    (i64::MIN + 0x000F_FFFF_FFFF_FFFF, 0x7FF0_0000_0000_0000);
+
+/// A float range filter `[lo, hi]` (inclusive, NaN never matches).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FloatRange {
+    /// Inclusive lower bound.
+    pub lo: f64,
+    /// Inclusive upper bound.
+    pub hi: f64,
+}
+
+impl FloatRange {
+    /// The range holding exactly `x`.
+    pub(crate) fn point(x: f64) -> Self {
+        FloatRange { lo: x, hi: x }
+    }
+
+    /// The range in the ordered-i64 domain, clamped to
+    /// [`NON_NAN_IMAGES`] so NaN never matches; `-0.0` and `+0.0` both
+    /// match a zero bound, as `f64` comparisons do; a NaN bound matches
+    /// nothing (`lo > hi`).
+    pub(crate) fn ordered(self) -> (i64, i64) {
+        if self.lo.is_nan() || self.hi.is_nan() {
+            return (1, 0);
+        }
+        let lo = if self.lo == 0.0 { -0.0 } else { self.lo };
+        let hi = if self.hi == 0.0 { 0.0 } else { self.hi };
+        let (min, max) = NON_NAN_IMAGES;
+        (
+            f64_to_ordered_i64(lo).max(min),
+            f64_to_ordered_i64(hi).min(max),
+        )
+    }
+}
+
 /// Conjunctive predicates over one series (single-column: time or value).
 ///
 /// Bounds are **inclusive**; strict SQL comparisons are normalized by the
-/// parser (`A > a` ⇒ `lo = a + 1` on the integer domain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// parser (`A > a` ⇒ `lo = a + 1` on the integer domain) and marked in
+/// `strict`. On a float series the integer bounds compare against the
+/// values as `f64`, a strict bound excluding `a` itself.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Predicate {
     /// Optional time-range conjunct.
     pub time: Option<TimeRange>,
     /// Optional value-range conjunct `[lo, hi]`.
     pub value: Option<(i64, i64)>,
+    /// Whether `value`'s lower/upper bound was normalized from a strict
+    /// comparison (`> lo - 1` / `< hi + 1`). Integer series ignore it.
+    pub strict: (bool, bool),
+    /// Optional float value-range conjunct (float series only).
+    pub float: Option<FloatRange>,
 }
 
 impl Predicate {
@@ -139,35 +209,89 @@ impl Predicate {
     pub fn time(lo: i64, hi: i64) -> Self {
         Predicate {
             time: Some(TimeRange { lo, hi }),
-            value: None,
+            ..Predicate::default()
         }
     }
 
     /// A predicate with only a value conjunct.
     pub fn value(lo: i64, hi: i64) -> Self {
         Predicate {
-            time: None,
             value: Some((lo, hi)),
+            ..Predicate::default()
         }
     }
 
     /// Conjunction of two predicates.
     pub fn and(&self, other: &Predicate) -> Predicate {
+        let (value, strict) = match (self.value, other.value) {
+            (Some((al, ah)), Some((bl, bh))) => {
+                let (lo, hi) = (al.max(bl), ah.min(bh));
+                // A bound stays strict unless an equal inclusive one
+                // joins it (`x >= a + 1` implies `x > a` on floats).
+                let strict = |b: i64, s: bool, at: i64| s || b != at;
+                let (sa, sb) = (self.strict, other.strict);
+                let s_lo = strict(al, sa.0, lo) && strict(bl, sb.0, lo);
+                let s_hi = strict(ah, sa.1, hi) && strict(bh, sb.1, hi);
+                (Some((lo, hi)), (s_lo, s_hi))
+            }
+            (Some(v), None) => (Some(v), self.strict),
+            (None, v) => (v, other.strict),
+        };
         Predicate {
             time: match (self.time, other.time) {
                 (Some(a), Some(b)) => Some(a.intersect(&b)),
                 (a, b) => a.or(b),
             },
-            value: match (self.value, other.value) {
-                (Some((al, ah)), Some((bl, bh))) => Some((al.max(bl), ah.min(bh))),
+            value,
+            strict,
+            float: match (self.float, other.float) {
+                // A NaN bound (which matches nothing) wins either side.
+                (Some(a), Some(b)) => {
+                    let pick = |a: f64, b: f64, b_wins| if b_wins || b.is_nan() { b } else { a };
+                    Some(FloatRange {
+                        lo: pick(a.lo, b.lo, a.lo < b.lo),
+                        hi: pick(a.hi, b.hi, a.hi > b.hi),
+                    })
+                }
                 (a, b) => a.or(b),
             },
         }
     }
 
-    /// True when neither conjunct is present.
+    /// True when no conjunct is present.
     pub fn is_trivial(&self) -> bool {
-        self.time.is_none() && self.value.is_none()
+        self.time.is_none() && self.value.is_none() && self.float.is_none()
+    }
+
+    /// This predicate over a float series: every value conjunct mapped
+    /// into the ordered-i64 domain and intersected into `value` (the
+    /// integer bounds as floats, `i64::MIN`/`i64::MAX` as unbounded; a
+    /// strict bound starts one image past its literal's).
+    pub(crate) fn on_floats(&self) -> Predicate {
+        let (min, max) = NON_NAN_IMAGES;
+        // The images of the floats equal to `b` (both zeros for 0).
+        let images = |b: i64| FloatRange::point(b as f64).ordered();
+        let int = self.value.map(|(lo, hi)| {
+            let lo = match (lo, self.strict.0) {
+                (i64::MIN, _) => min,
+                (b, true) => images(b - 1).1 + 1,
+                (b, false) => images(b).0,
+            };
+            let hi = match (hi, self.strict.1) {
+                (i64::MAX, _) => max,
+                (b, true) => images(b + 1).0 - 1,
+                (b, false) => images(b).1,
+            };
+            (lo, hi)
+        });
+        Predicate {
+            time: self.time,
+            value: int
+                .into_iter()
+                .chain(self.float.map(FloatRange::ordered))
+                .reduce(|(al, ah), (bl, bh)| (al.max(bl), ah.min(bh))),
+            ..Predicate::default()
+        }
     }
 }
 
@@ -400,6 +524,74 @@ mod tests {
         assert_eq!(p.value, Some((5, 50)));
         let q = p.and(&Predicate::time(50, 200));
         assert_eq!(q.time, Some(TimeRange { lo: 50, hi: 100 }));
+    }
+
+    #[test]
+    fn nan_float_bound_wins_on_either_side() {
+        let band = FloatRange { lo: 1.0, hi: 5.0 };
+        let nan = |lo: f64, hi: f64| Predicate {
+            float: Some(FloatRange { lo, hi }),
+            ..Predicate::default()
+        };
+        let band = Predicate {
+            float: Some(band),
+            ..Predicate::default()
+        };
+        for (lo, hi) in [(f64::NAN, 5.0), (1.0, f64::NAN)] {
+            for p in [band.and(&nan(lo, hi)), nan(lo, hi).and(&band)] {
+                let (l, h) = p.float.unwrap().ordered();
+                assert!(l > h, "[{lo}, {hi}] ∧ [1, 5] matches nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn strict_bounds_exclude_their_literal_on_floats() {
+        let img = f64_to_ordered_i64;
+        // `x > 20 AND x < 21` as the parser normalizes it.
+        let p = Predicate {
+            value: Some((21, 20)),
+            strict: (true, true),
+            ..Predicate::default()
+        };
+        let (lo, hi) = p.on_floats().value.unwrap();
+        assert!(lo <= img(20.5) && img(20.5) <= hi);
+        assert!(img(20.0) < lo && hi < img(21.0));
+        // `x > 0` excludes both zeros, `x < 0` too.
+        let gt0 = Predicate {
+            value: Some((1, i64::MAX)),
+            strict: (true, false),
+            ..Predicate::default()
+        };
+        let (lo, _) = gt0.on_floats().value.unwrap();
+        assert_eq!(lo, img(f64::from_bits(1)));
+        let lt0 = Predicate {
+            value: Some((i64::MIN, -1)),
+            strict: (false, true),
+            ..Predicate::default()
+        };
+        let (_, hi) = lt0.on_floats().value.unwrap();
+        assert_eq!(hi, img(-f64::from_bits(1)));
+        // Of equal integer bounds the inclusive one is tighter.
+        let ge21 = Predicate::value(21, i64::MAX);
+        assert_eq!(gt0.and(&p).strict, (true, true));
+        assert_eq!(p.and(&ge21).strict, (false, true));
+        assert_eq!(ge21.and(&p).strict, (false, true));
+    }
+
+    #[test]
+    fn non_nan_images_bound_every_float() {
+        let inf = |v: f64| f64_to_ordered_i64(v);
+        assert_eq!(NON_NAN_IMAGES, (inf(f64::NEG_INFINITY), inf(f64::INFINITY)));
+        let (lo, hi) = FloatRange { lo: 0.0, hi: 0.0 }.ordered();
+        assert!(
+            lo <= inf(-0.0) && inf(0.0) <= hi,
+            "a zero bound admits both zeros"
+        );
+        assert!(
+            inf(f64::NAN) > hi && inf(-f64::NAN) < lo,
+            "NaN lies outside"
+        );
     }
 
     #[test]

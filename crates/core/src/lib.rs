@@ -42,7 +42,6 @@ pub mod decode;
 pub mod engine;
 pub mod exec;
 pub mod expr;
-pub mod float;
 pub mod fused;
 pub mod oracle;
 pub mod partial;

@@ -7,14 +7,15 @@
 //! implements that semantics directly, with none of the optimizations:
 //!
 //! * every page is fully decoded with the serial reference decoders
-//!   ([`Page::decode`]); no page pruning, no suffix pruning, no fusion,
-//!   no slicing, no threads;
+//!   ([`Page::decode`], or [`Page::decode_f64`] on float series); no page
+//!   pruning, no suffix pruning, no fusion, no slicing, no threads;
 //! * filters are evaluated per tuple, in time order;
 //! * aggregates accumulate in `i128` ([`AggState`] / [`PairMoments`]),
-//!   so no intermediate result ever wraps.
+//!   so no intermediate result ever wraps; float series fold naively in
+//!   `f64`, in time order.
 //!
 //! The only code shared with the engine is the *output contract* —
-//! [`finalize`]'s `Null`/`Int`/`Float` widening rules and the column
+//! [`finalize`]'s integer `Null`/`Int`/`Float` widening rules and the column
 //! naming — because that is the surface being compared, not the
 //! computation behind it. `tests/differential.rs` (repo root) sweeps
 //! every [`PipelineConfig`](crate::plan::PipelineConfig) variant × codec
@@ -23,53 +24,29 @@
 use std::collections::BTreeMap;
 
 use etsqp_simd::agg::AggState;
-use etsqp_storage::store::SeriesStore;
+use etsqp_storage::ingest::HotSnapshot;
+use etsqp_storage::store::{SeriesSnapshot, SeriesStore};
 
 use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow};
+use crate::partial::PartialState;
 use crate::plan::{finalize, finalize_pair, flatten_scan, PairMoments, Value};
-use crate::Result;
+use crate::{Error, Result};
+
+/// A result relation: column names and rows.
+type Table = (Vec<String>, Vec<Vec<Value>>);
 
 /// Evaluates `plan` naively. Returns `(columns, rows)` shaped exactly
 /// like [`crate::plan::execute`]'s `QueryResult` (same column names, same
 /// row order, same `Value` widening), so results compare cell-for-cell.
 pub fn execute(plan: &Plan, store: &SeriesStore) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
     match plan {
-        Plan::Aggregate { input, func } => {
-            let (series, pred) = flatten_scan(input)?;
-            let (ts, vals) = scan_tuples(store, &series, &pred)?;
-            let col = format!("{}({series})", func.name());
-            Ok((vec![col], vec![vec![exact_agg(*func, &ts, &vals)]]))
-        }
+        Plan::Aggregate { input, func } => unary(store, input, Some(*func), None),
         Plan::WindowAggregate {
             input,
             window,
             func,
-        } => {
-            let (series, pred) = flatten_scan(input)?;
-            let (ts, vals) = scan_tuples(store, &series, &pred)?;
-            let per_window = window_tuples(&ts, &vals, window);
-            let col = format!("{}({series})", func.name());
-            let rows = per_window
-                .into_iter()
-                .map(|(k, (wts, wvals))| {
-                    vec![
-                        Value::Int(window.t_min + k as i64 * window.dt),
-                        exact_agg(*func, &wts, &wvals),
-                    ]
-                })
-                .collect();
-            Ok((vec!["window_start".into(), col], rows))
-        }
-        Plan::Scan { .. } | Plan::Filter { .. } => {
-            let (series, pred) = flatten_scan(plan)?;
-            let (ts, vals) = scan_tuples(store, &series, &pred)?;
-            let rows = ts
-                .into_iter()
-                .zip(vals)
-                .map(|(t, v)| vec![Value::Int(t), Value::Int(v)])
-                .collect();
-            Ok((vec!["time".into(), series], rows))
-        }
+        } => unary(store, input, Some(*func), Some(window)),
+        Plan::Scan { .. } | Plan::Filter { .. } => unary(store, plan, None, None),
         Plan::Union { left, right } => {
             let (lt, lv, _, rt, rv, _) = both_sides(store, left, right)?;
             Ok((
@@ -108,52 +85,42 @@ pub fn execute(plan: &Plan, store: &SeriesStore) -> Result<(Vec<String>, Vec<Vec
     }
 }
 
-/// Whether one tuple passes the conjunctive predicate.
-fn tuple_qualifies(pred: &Predicate, t: i64, v: i64) -> bool {
-    if let Some(tr) = pred.time {
-        if !tr.contains(t) {
-            return false;
-        }
-    }
-    if let Some((lo, hi)) = pred.value {
-        if v < lo || v > hi {
-            return false;
-        }
-    }
-    true
-}
-
 /// Decodes every sealed page of `series` with the serial reference
 /// decoders, then walks the hot chunk's buffered columns — both halves
 /// of one atomic [`SeriesStore::snapshot`], so the oracle sees exactly
 /// the prefix of the append stream a concurrently planned engine query
-/// would. Tuples pass `pred` one at a time.
+/// would. Tuples pass `pred` one at a time. Float series reach here only
+/// under binary plans, which are integer-only.
 fn scan_tuples(
     store: &SeriesStore,
     series: &str,
     pred: &Predicate,
 ) -> Result<(Vec<i64>, Vec<i64>)> {
-    let mut out_ts = Vec::new();
-    let mut out_vals = Vec::new();
     let snap = store.snapshot(series)?;
+    if pred.float.is_some() || is_float(&snap) {
+        return Err(Error::Plan(format!(
+            "{series}: float series in an integer-only plan"
+        )));
+    }
+    let mut out = (Vec::new(), Vec::new());
+    let mut keep = |ts: &[i64], vals: &[i64]| {
+        for (&t, &v) in ts.iter().zip(vals) {
+            if pred.time.is_none_or(|r| r.contains(t))
+                && pred.value.is_none_or(|(lo, hi)| lo <= v && v <= hi)
+            {
+                out.0.push(t);
+                out.1.push(v);
+            }
+        }
+    };
     for page in snap.pages {
         let (ts, vals) = page.decode()?;
-        for (&t, &v) in ts.iter().zip(&vals) {
-            if tuple_qualifies(pred, t, v) {
-                out_ts.push(t);
-                out_vals.push(v);
-            }
-        }
+        keep(&ts, &vals);
     }
-    if let Some(etsqp_storage::ingest::HotSnapshot::Int(hot)) = snap.hot {
-        for (&t, &v) in hot.ts.iter().zip(hot.vals.iter()) {
-            if tuple_qualifies(pred, t, v) {
-                out_ts.push(t);
-                out_vals.push(v);
-            }
-        }
+    if let Some(HotSnapshot::Int(h)) = snap.hot {
+        keep(&h.ts, &h.vals);
     }
-    Ok((out_ts, out_vals))
+    Ok(out)
 }
 
 /// The exact (reference) aggregate over time-ordered qualifying tuples.
@@ -163,7 +130,7 @@ fn scan_tuples(
 ///   *not* expected to match this bit-for-bit; the differential harness
 ///   compares by rank within [`crate::partial::TDigest::rank_error_bound`].
 /// * `RATE`/`DELTA` use the same `i128` first/last formulas as
-///   [`crate::plan::finalize_partial`], so they compare bit-exact.
+///   [`finalize`], so they compare bit-exact.
 /// * Everything else accumulates through [`AggState`] and shares
 ///   [`finalize`]'s widening rules with the engine.
 pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
@@ -198,8 +165,154 @@ pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
             for &v in vals {
                 state.push(v);
             }
-            finalize(func, &state)
+            finalize(func, &PartialState::from(state))
         }
+    }
+}
+
+/// Whether a snapshot holds float values.
+fn is_float(snap: &SeriesSnapshot) -> bool {
+    matches!(snap.hot, Some(HotSnapshot::Float(_)))
+        || snap.pages.iter().any(|p| p.header.val_encoding.is_float())
+}
+
+/// A unary plan: the rows of a (filtered) scan, or its aggregate, whole
+/// or per window. Float series decode through `Page::decode_f64` plus
+/// the hot float snapshot; their integer value bounds compare as `f64`
+/// (`i64::MIN`/`i64::MAX` unbounded, a strict bound excluding its
+/// literal), NaN lies in no value range, and
+/// quantiles and rate/delta are a typed [`Error::Plan`], as in the
+/// engine.
+fn unary(
+    store: &SeriesStore,
+    input: &Plan,
+    func: Option<AggFunc>,
+    window: Option<&SlidingWindow>,
+) -> Result<Table> {
+    let (series, pred) = flatten_scan(input)?;
+    let snap = store.snapshot(&series)?;
+    // An empty series has no codec to type it; a float conjunct reads it
+    // as float.
+    let empty = snap.pages.is_empty() && snap.hot.is_none();
+    if !(is_float(&snap) || empty && pred.float.is_some()) {
+        let (ts, vals) = scan_tuples(store, &series, &pred)?;
+        return Ok(relation(
+            series,
+            func,
+            window,
+            &ts,
+            &vals,
+            exact_agg,
+            Value::Int,
+        ));
+    }
+    if let Some(f) = func.filter(|f| f.partial_only()) {
+        let name = f.name();
+        return Err(Error::Plan(format!(
+            "{name} is not supported on float series {series}"
+        )));
+    }
+    let mut columns = Vec::new();
+    for page in &snap.pages {
+        columns.push(page.decode_f64()?);
+    }
+    if let Some(HotSnapshot::Float(h)) = snap.hot {
+        columns.push((h.ts.to_vec(), h.vals.to_vec()));
+    }
+    // A strict bound was normalized from `> lo - 1` / `< hi + 1`.
+    let (strict_lo, strict_hi) = pred.strict;
+    let above = |v: f64, lo: i64| {
+        if strict_lo {
+            v > (lo - 1) as f64
+        } else {
+            v >= lo as f64
+        }
+    };
+    let below = |v: f64, hi: i64| {
+        if strict_hi {
+            v < (hi + 1) as f64
+        } else {
+            v <= hi as f64
+        }
+    };
+    let bounds = |v: f64, lo: i64, hi: i64| {
+        !v.is_nan() && (lo == i64::MIN || above(v, lo)) && (hi == i64::MAX || below(v, hi))
+    };
+    let (ts, vals): (Vec<i64>, Vec<f64>) = columns
+        .into_iter()
+        .flat_map(|(ts, vals)| ts.into_iter().zip(vals))
+        .filter(|&(t, v)| {
+            pred.time.is_none_or(|r| r.contains(t))
+                && pred.value.is_none_or(|(lo, hi)| bounds(v, lo, hi))
+                && pred.float.is_none_or(|r| v >= r.lo && v <= r.hi)
+        })
+        .unzip();
+    let agg = |func, _: &[i64], vals: &[f64]| exact_agg_f64(func, vals);
+    Ok(relation(
+        series,
+        func,
+        window,
+        &ts,
+        &vals,
+        agg,
+        Value::Float,
+    ))
+}
+
+/// Shapes qualifying tuples into the engine's relation: `(time, value)`
+/// rows without `func`, else one aggregate cell, whole or per window.
+fn relation<V: Copy>(
+    series: String,
+    func: Option<AggFunc>,
+    window: Option<&SlidingWindow>,
+    ts: &[i64],
+    vals: &[V],
+    agg: impl Fn(AggFunc, &[i64], &[V]) -> Value,
+    cell: impl Fn(V) -> Value,
+) -> Table {
+    let Some(func) = func else {
+        let rows = ts
+            .iter()
+            .zip(vals)
+            .map(|(&t, &v)| vec![Value::Int(t), cell(v)]);
+        return (vec!["time".into(), series], rows.collect());
+    };
+    let col = format!("{}({series})", func.name());
+    let Some(w) = window else {
+        return (vec![col], vec![vec![agg(func, ts, vals)]]);
+    };
+    let rows = window_tuples(ts, vals, w)
+        .into_iter()
+        .map(|(k, (wts, wvals))| {
+            vec![
+                Value::Int(w.t_min + k as i64 * w.dt),
+                agg(func, &wts, &wvals),
+            ]
+        });
+    (vec!["window_start".into(), col], rows.collect())
+}
+
+/// The reference aggregate over a float series' time-ordered values: a
+/// naive left fold in `f64`. NaN counts, propagates through SUM/AVG and
+/// never wins MIN/MAX; `-0.0` orders below `+0.0`.
+fn exact_agg_f64(func: AggFunc, vals: &[f64]) -> Value {
+    let n = vals.len() as f64;
+    let sum: f64 = vals.iter().sum();
+    let non_nan = vals.iter().copied().filter(|v| !v.is_nan());
+    let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
+    match func {
+        _ if vals.is_empty() => Value::Null,
+        AggFunc::Count => Value::Int(vals.len() as i64),
+        AggFunc::Sum => Value::Float(sum),
+        AggFunc::Avg => Value::Float(sum / n),
+        AggFunc::Variance => {
+            let sum_sq: f64 = vals.iter().map(|v| v * v).sum();
+            Value::Float((sum_sq / n - (sum / n).powi(2)).max(0.0))
+        }
+        AggFunc::Min => float(non_nan.min_by(f64::total_cmp)),
+        AggFunc::Max => float(non_nan.max_by(f64::total_cmp)),
+        AggFunc::First => float(vals.first().copied()),
+        _ => float(vals.last().copied()),
     }
 }
 
@@ -208,12 +321,12 @@ pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
 /// contract). Tuples stay in time order inside each bucket, which the
 /// order-sensitive reference aggregates (FIRST/LAST/RATE/DELTA) rely on.
 #[allow(clippy::type_complexity)]
-fn window_tuples(
+fn window_tuples<V: Copy>(
     ts: &[i64],
-    vals: &[i64],
+    vals: &[V],
     w: &SlidingWindow,
-) -> Vec<(usize, (Vec<i64>, Vec<i64>))> {
-    let mut windows: BTreeMap<usize, (Vec<i64>, Vec<i64>)> = BTreeMap::new();
+) -> Vec<(usize, (Vec<i64>, Vec<V>))> {
+    let mut windows: BTreeMap<usize, (Vec<i64>, Vec<V>)> = BTreeMap::new();
     for (&t, &v) in ts.iter().zip(vals) {
         if let Some(k) = w.window_of(t) {
             let bucket = windows.entry(k).or_default();
@@ -320,6 +433,7 @@ mod tests {
             .filter(Predicate {
                 time: Some(TimeRange { lo: 100, hi: 4200 }),
                 value: Some((41, 50)),
+                ..Predicate::default()
             })
             .aggregate(AggFunc::Sum);
         let (ocols, orows) = execute(&plan, &store).unwrap();

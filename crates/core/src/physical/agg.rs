@@ -14,8 +14,9 @@ use etsqp_simd::agg::AggState;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
+use crate::decode::decode_page;
 use crate::exec::ExecStats;
-use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
+use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange, ValueType, NON_NAN_IMAGES};
 use crate::fused::{aggregate_delta_rle, sum_svb, sum_ts2diff, sum_ts2diff_range, FuseLevel};
 use crate::partial::{CacheKey, PartialCache, PartialState};
 use crate::physical::node::{Stage, Strategy};
@@ -44,6 +45,15 @@ pub(crate) fn spread_fits_i64(page: &Page) -> bool {
         .max_value
         .checked_sub(page.header.min_value)
         .is_some()
+}
+
+/// Whether the header min/max may answer MIN/MAX: always on integer
+/// pages; on float pages only when neither bound is a NaN image (MIN/MAX
+/// skip NaN, but the header bounds include it).
+pub(crate) fn header_bounds_are_values(page: &Page) -> bool {
+    let (lo, hi) = NON_NAN_IMAGES;
+    !page.header.val_encoding.is_float()
+        || (lo <= page.header.min_value && page.header.max_value <= hi)
 }
 
 /// Whether the fused path can produce what `func` needs without decode.
@@ -134,6 +144,54 @@ pub(crate) fn agg_masked(state: &mut AggState, slice: &[i64], mask: &[u64], func
     }
 }
 
+/// Folds one run of decoded values under the optional value range — the
+/// `Filter → PartialAgg` tail of the decode pipeline. Integer runs and
+/// float COUNT/MIN/MAX/FIRST/LAST use the SIMD kernels on the i64 column
+/// (float MIN/MAX masked to non-NaN images); float Σ/Σ² fold in `f64`.
+fn fold_run(
+    slice: &[i64],
+    mut value: Option<(i64, i64)>,
+    func: AggFunc,
+    ty: ValueType,
+) -> PartialState {
+    if ty == ValueType::F64 {
+        match func {
+            AggFunc::Sum | AggFunc::Avg | AggFunc::Variance => {
+                let mut state = typed(AggState::new(), ty);
+                for &v in slice {
+                    if value.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
+                        state.push_ordered(v);
+                    }
+                }
+                return state;
+            }
+            // A float value range is already clamped to non-NaN images.
+            AggFunc::Min | AggFunc::Max => value = value.or(Some(NON_NAN_IMAGES)),
+            _ => {}
+        }
+    }
+    let mut state = AggState::new();
+    match value {
+        None => agg_slice(&mut state, slice, func),
+        Some((vlo, vhi)) => {
+            let mut mask = etsqp_simd::filter::new_mask(slice.len());
+            etsqp_simd::filter::range_mask_i64(slice, vlo, vhi, &mut mask);
+            agg_masked(&mut state, slice, &mask, func);
+        }
+    }
+    typed(state, ty)
+}
+
+/// A partial over exact moments, marked as a float source's when `ty`
+/// is [`ValueType::F64`] (so [`crate::plan::finalize`] answers in
+/// floats).
+fn typed(agg: AggState, ty: ValueType) -> PartialState {
+    PartialState {
+        float: (ty == ValueType::F64).then(Default::default),
+        ..agg.into()
+    }
+}
+
 /// Symbolic partial of a slice over a TS2DIFF value column: every term is
 /// expressed relative to the unknown slice-start value `v_pre`, so slice
 /// jobs never wait on each other's prefix sums (§III-C / Fig. 14(c)).
@@ -189,18 +247,15 @@ pub(crate) fn slice_coeff_job(
     page: &Page,
     part: usize,
     parts: usize,
-    cfg: &PipelineConfig,
     stats: &ExecStats,
     store: &SeriesStore,
 ) -> Result<SliceCoeff> {
-    if part == 0 {
-        charge_page_io(page, stats, store);
-    }
     // Slice jobs unpack chunk bytes directly; reject corrupt payloads
     // before the symbolic coefficients are built from them. Part 0 is
     // enough: every part of a page runs, and one failure aborts the
     // query.
     if part == 0 {
+        charge_page_io(page, stats, store);
         page.verify().map_err(Error::Storage)?;
     }
     let parsed = ts2diff::parse(&page.val_bytes)?;
@@ -213,7 +268,7 @@ pub(crate) fn slice_coeff_job(
         });
     }
     // Deltas connecting the slice's values: indices (max(lo,1)−1)..(hi−1).
-    let d_lo = lo.saturating_sub(1).max(if lo == 0 { 0 } else { lo - 1 });
+    let d_lo = lo.saturating_sub(1);
     let d_hi = hi.saturating_sub(1);
     let n_deltas = d_hi - d_lo;
     let mut stored = vec![0u64; n_deltas];
@@ -254,7 +309,6 @@ pub(crate) fn slice_coeff_job(
         push(rel, &mut coeff);
     }
     coeff.delta_total = rel;
-    let _ = cfg;
     Ok(coeff)
 }
 
@@ -361,22 +415,15 @@ fn agg_page_states(
             Some(Some(range)) => range,
             Some(None) => return Ok(Vec::new()), // constant interval, no overlap
             None => {
-                let range = {
-                    let _f = Stage::Filter.timer(stats);
-                    let ts = decode_ts_column(page, cfg, stats)?;
-                    let a = ts.partition_point(|&t| t < wide.lo);
-                    let b = ts.partition_point(|&t| t <= wide.hi);
-                    if a >= b {
-                        None
-                    } else {
-                        ts_decoded = Some(ts);
-                        Some((a, b - 1))
-                    }
-                };
-                match range {
-                    Some(r) => r,
-                    None => return Ok(Vec::new()),
+                let _f = Stage::Filter.timer(stats);
+                let ts = decode_ts_column(page, cfg, stats)?;
+                let a = ts.partition_point(|&t| t < wide.lo);
+                let b = ts.partition_point(|&t| t <= wide.hi);
+                if a >= b {
+                    return Ok(Vec::new());
                 }
+                ts_decoded = Some(ts);
+                (a, b - 1)
             }
         }
     };
@@ -418,7 +465,7 @@ fn agg_page_states(
                 s.count = count as u64;
                 s.min = Some(page.header.min_value);
                 s.max = Some(page.header.max_value);
-                return Ok(vec![(k, s.into())]);
+                return Ok(vec![(k, typed(s, ValueType::of(page.header.val_encoding)))]);
             }
         }
         // Windowed fused path: resolve each window's index subrange
@@ -449,84 +496,51 @@ fn agg_page_states(
     }
 
     // ---- General path: decode values (DecodeScan → Filter → PartialAgg)
-    let vals = decode_val_column(page, pred, cfg, stats)?;
-    let vals = match vals {
-        Some(v) => v,
-        None => return Ok(Vec::new()), // fully pruned during scan
+    let Some(vals) = decode_val_column(page, pred, cfg, stats)? else {
+        return Ok(Vec::new()); // fully pruned during scan
     };
     if a >= vals.len() {
         // The qualifying index range lies entirely in the pruned suffix —
         // sound because pruned elements provably fail the value filter.
         return Ok(Vec::new());
     }
+    // Tuple-level folds and window splits read the timestamp column
+    // (decoded above, or now).
+    let ts = match ts_decoded {
+        Some(ts) => ts,
+        None if func.partial_only() || window.is_some() => decode_ts_column(page, cfg, stats)?,
+        None => Vec::new(),
+    };
 
     let _a = Stage::Agg.timer(stats);
 
     // Partial-only aggregates (quantile sketches, rate/delta) fold
     // tuple-at-a-time with timestamps — this is the "straddling pages
     // decode" leg of the bucket pipeline.
+    let ty = ValueType::of(page.header.val_encoding);
     if func.partial_only() {
-        let ts_owned;
-        let ts: &[i64] = match &ts_decoded {
-            Some(t) => t,
-            None => {
-                ts_owned = decode_ts_column(page, cfg, stats)?;
-                &ts_owned
-            }
-        };
         let hi = b.min(vals.len() - 1).min(ts.len().saturating_sub(1));
-        let mut windows: std::collections::BTreeMap<usize, PartialState> =
-            std::collections::BTreeMap::new();
-        for (&t, &v) in ts[a..=hi].iter().zip(&vals[a..=hi]) {
-            if let Some((vlo, vhi)) = pred.value {
-                if v < vlo || v > vhi {
-                    continue;
-                }
-            }
-            let k = match window {
-                Some(w) => match w.window_of(t) {
-                    Some(k) => k,
-                    None => continue,
-                },
-                None => 0,
-            };
-            windows
-                .entry(k)
-                .or_insert_with(|| PartialState::new(func))
-                .push_tv(t, v);
-        }
-        return Ok(windows.into_iter().collect());
+        return Ok(fold_tuples(
+            &ts[a..=hi],
+            &vals[a..=hi],
+            pred,
+            window,
+            func,
+            ty,
+        ));
     }
 
     let mut out: WindowStates = Vec::new();
     match window {
         None => {
-            let mut state = AggState::new();
-            match pred.value {
-                None => agg_slice(&mut state, &vals[a..=b.min(vals.len() - 1)], func),
-                Some((vlo, vhi)) => {
-                    let hi = b.min(vals.len() - 1);
-                    let slice = &vals[a..=hi];
-                    let mut mask = etsqp_simd::filter::new_mask(slice.len());
-                    etsqp_simd::filter::range_mask_i64(slice, vlo, vhi, &mut mask);
-                    agg_masked(&mut state, slice, &mask, func);
-                }
-            }
-            if state.count > 0 {
-                out.push((0, state.into()));
+            let state = fold_run(&vals[a..=b.min(vals.len() - 1)], pred.value, func, ty);
+            if state.agg.count > 0 {
+                out.push((0, state));
             }
         }
         Some(w) => {
             // Split [a, b] into per-window index subranges via the
-            // timestamp column (decoded or constant-interval).
-            let ts_owned;
-            let ts: &[i64] = match &ts_decoded {
-                Some(t) => t,
-                None => {
-                    ts_owned = decode_ts_column(page, cfg, stats)?;
-                    &ts_owned
-                }
-            };
+            // timestamp column.
             let mut i = a;
             let hi = b.min(vals.len() - 1);
             while i <= hi {
@@ -541,18 +555,9 @@ fn agg_page_states(
                     j += 1;
                 }
                 if j > i {
-                    let slice = &vals[i..j];
-                    let mut state = AggState::new();
-                    match pred.value {
-                        None => agg_slice(&mut state, slice, func),
-                        Some((vlo, vhi)) => {
-                            let mut mask = etsqp_simd::filter::new_mask(slice.len());
-                            etsqp_simd::filter::range_mask_i64(slice, vlo, vhi, &mut mask);
-                            agg_masked(&mut state, slice, &mask, func);
-                        }
-                    }
-                    if state.count > 0 {
-                        out.push((k, state.into()));
+                    let state = fold_run(&vals[i..j], pred.value, func, ty);
+                    if state.agg.count > 0 {
+                        out.push((k, state));
                     }
                     i = j;
                 } else {
@@ -576,37 +581,39 @@ fn serial_agg_page(
 ) -> Result<WindowStates> {
     let (ts, vals) = {
         let _d = Stage::Delta.timer(stats);
-        page.decode().map_err(Error::Storage)?
+        decode_page(page)?
     };
+    let ty = ValueType::of(page.header.val_encoding);
     stats.materialized_bytes.fetch_add(
         (ts.len() + vals.len()) as u64 * 8,
         std::sync::atomic::Ordering::Relaxed,
     );
     let _a = Stage::Agg.timer(stats);
-    let mut windows: std::collections::BTreeMap<usize, PartialState> =
-        std::collections::BTreeMap::new();
-    for (&t, &v) in ts.iter().zip(&vals) {
-        if let Some(tr) = pred.time {
-            if !tr.contains(t) {
-                continue;
-            }
+    Ok(fold_tuples(&ts, &vals, pred, window, func, ty))
+}
+
+/// Folds tuples one at a time through `pred` into per-window partial
+/// states (window 0 when unwindowed): the tuple-level `Filter →
+/// PartialAgg` of the serial baseline and of partial-only aggregates.
+fn fold_tuples(
+    ts: &[i64],
+    vals: &[i64],
+    pred: &Predicate,
+    window: Option<SlidingWindow>,
+    func: AggFunc,
+    ty: ValueType,
+) -> WindowStates {
+    let mut windows = std::collections::BTreeMap::new();
+    for (&t, &v) in ts.iter().zip(vals) {
+        let k = window.map_or(Some(0), |w| w.window_of(t));
+        let qualifies = pred.time.is_none_or(|tr| tr.contains(t))
+            && pred.value.is_none_or(|(lo, hi)| lo <= v && v <= hi);
+        if let (true, Some(k)) = (qualifies, k) {
+            windows
+                .entry(k)
+                .or_insert_with(|| PartialState::for_source(func, ty))
+                .push_tv(t, v);
         }
-        if let Some((lo, hi)) = pred.value {
-            if v < lo || v > hi {
-                continue;
-            }
-        }
-        let k = match window {
-            Some(w) => match w.window_of(t) {
-                Some(k) => k,
-                None => continue,
-            },
-            None => 0,
-        };
-        windows
-            .entry(k)
-            .or_insert_with(|| PartialState::new(func))
-            .push_tv(t, v);
     }
-    Ok(windows.into_iter().collect())
+    windows.into_iter().collect()
 }

@@ -6,11 +6,12 @@
 
 use std::sync::Arc;
 
+use etsqp_encoding::ordered_i64_to_f64;
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
 use crate::exec::{run_jobs_ctl, ExecStats};
-use crate::expr::{AggFunc, SlidingWindow};
+use crate::expr::{AggFunc, SlidingWindow, ValueType};
 use crate::partial::PartialState;
 use crate::physical::agg::{agg_page_job, slice_coeff_job, SliceCoeff, WindowStates};
 use crate::physical::merge::{
@@ -21,7 +22,7 @@ use crate::physical::pipe::PhysicalPlan;
 use crate::physical::scan::{
     charge_pruned_hot, charge_pruned_page, hot_rows, scan_rows, verify_pruned,
 };
-use crate::plan::{finalize_pair, finalize_partial, PipelineConfig, Value};
+use crate::plan::{finalize, finalize_pair, PipelineConfig, Value};
 use crate::slice::{distribute, WorkItem};
 use crate::{Error, Result};
 
@@ -48,7 +49,7 @@ pub(crate) fn run(
                     acc
                 });
             let col = format!("{}({})", func.name(), p.series);
-            Ok((vec![col], vec![vec![finalize_partial(*func, &state)]]))
+            Ok((vec![col], vec![vec![finalize(*func, &state)]]))
         }
         RootNode::Aggregate {
             func,
@@ -62,7 +63,7 @@ pub(crate) fn run(
                 .map(|(k, s)| {
                     vec![
                         Value::Int(window.t_min + k as i64 * window.dt),
-                        finalize_partial(*func, &s),
+                        finalize(*func, &s),
                     ]
                 })
                 .collect();
@@ -83,10 +84,14 @@ pub(crate) fn run(
                     charge_pruned_hot(hot, stats);
                 }
             }
+            let cell = |v: i64| match p.val_type {
+                ValueType::I64 => Value::Int(v),
+                ValueType::F64 => Value::Float(ordered_i64_to_f64(v)),
+            };
             let rows = ts
                 .into_iter()
                 .zip(vals)
-                .map(|(t, v)| vec![Value::Int(t), Value::Int(v)])
+                .map(|(t, v)| vec![Value::Int(t), cell(v)])
                 .collect();
             Ok((vec!["time".into(), p.series.clone()], rows))
         }
@@ -238,7 +243,6 @@ fn aggregate_pipeline(
     }
 
     let outputs = run_jobs_ctl(
-        cfg.scheduler,
         tagged,
         cfg.threads,
         stats,
@@ -261,7 +265,7 @@ fn aggregate_pipeline(
                 }
             }
             WorkItem::Slice { page, part, parts } => {
-                match slice_coeff_job(&page, part, parts, cfg, stats, store) {
+                match slice_coeff_job(&page, part, parts, stats, store) {
                     Ok(coeff) => JobOut::Slice {
                         page_seq,
                         part,
@@ -319,9 +323,10 @@ fn aggregate_pipeline(
         if hot.verdict.kept() {
             let (hts, hvals) = hot_rows(hot, pred, stats);
             let _a = crate::physical::node::Stage::Agg.timer(stats);
+            let fresh = || PartialState::for_source(func, pipeline.val_type);
             match window {
                 None => {
-                    let state = windows.entry(0).or_insert_with(|| PartialState::new(func));
+                    let state = windows.entry(0).or_insert_with(fresh);
                     for (t, v) in hts.into_iter().zip(hvals) {
                         state.push_tv(t, v);
                     }
@@ -329,10 +334,7 @@ fn aggregate_pipeline(
                 Some(w) => {
                     for (t, v) in hts.into_iter().zip(hvals) {
                         if let Some(k) = w.window_of(t) {
-                            windows
-                                .entry(k)
-                                .or_insert_with(|| PartialState::new(func))
-                                .push_tv(t, v);
+                            windows.entry(k).or_insert_with(fresh).push_tv(t, v);
                         }
                     }
                 }

@@ -90,20 +90,13 @@ pub(crate) fn binary_merge_partitioned(
     // a single thread (the partition level is the parallel axis).
     let inner_cfg = PipelineConfig { threads: 1, ..*cfg };
     let outputs = run_jobs_ctl(
-        cfg.scheduler,
         ranges.to_vec(),
         cfg.threads,
         stats,
         ctl,
         |range| -> Result<Vec<Vec<Value>>> {
-            let lp = lpred.and(&Predicate {
-                time: Some(range),
-                value: None,
-            });
-            let rp = rpred.and(&Predicate {
-                time: Some(range),
-                value: None,
-            });
+            let lp = lpred.and(&Predicate::time(range.lo, range.hi));
+            let rp = rpred.and(&Predicate::time(range.lo, range.hi));
             let lkept = prune_pages(left.to_vec(), &lp, &inner_cfg, stats)?;
             let rkept = prune_pages(right.to_vec(), &rp, &inner_cfg, stats)?;
             let (lt, lv) = scan_rows(store, lkept, &lp, &inner_cfg, stats, ctl)?;

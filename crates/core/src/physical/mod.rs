@@ -20,6 +20,7 @@ pub mod verify;
 
 pub(crate) mod agg;
 pub(crate) mod driver;
+pub(crate) mod explain;
 pub(crate) mod merge;
 pub(crate) mod scan;
 pub(crate) mod verify_partial;

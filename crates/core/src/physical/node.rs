@@ -16,7 +16,9 @@ use std::sync::Arc;
 use etsqp_storage::page::Page;
 
 use crate::exec::{ExecStats, ScopedTimer};
-use crate::expr::{AggFunc, BinOp, CmpOp, PairAggFunc, Predicate, SlidingWindow, TimeRange};
+use crate::expr::{
+    AggFunc, BinOp, CmpOp, PairAggFunc, Predicate, SlidingWindow, TimeRange, ValueType,
+};
 
 /// Execution stage a pipeline node charges its time to — one per stage
 /// counter of [`ExecStats`] (the Fig. 14(b) breakdown).
@@ -193,7 +195,8 @@ impl fmt::Display for Parallelism {
 pub struct HotScan {
     /// Buffered timestamps (strictly increasing).
     pub ts: Arc<Vec<i64>>,
-    /// Buffered values, aligned with `ts`.
+    /// Buffered values, aligned with `ts` (ordered-i64 images on a float
+    /// source).
     pub vals: Arc<Vec<i64>>,
     /// §V pruning verdict over the snapshot's exact min/max statistics.
     pub verdict: PruneVerdict,
@@ -206,6 +209,10 @@ pub struct HotScan {
 pub struct SeriesPipeline {
     /// Series name.
     pub series: String,
+    /// The source's value type, read from its value codec: on
+    /// [`ValueType::F64`] the value conjunct of `pred` is in the
+    /// ordered-i64 domain.
+    pub val_type: ValueType,
     /// The conjunctive predicate pushed down to this scan.
     pub pred: Predicate,
     /// All pages of the series, storage order (aligned with `decisions`).

@@ -5,23 +5,22 @@
 //!
 //! The same compiled plan drives both execution
 //! ([`crate::physical::driver::run`]) and `EXPLAIN`
-//! ([`PhysicalPlan::render`]) — what the snapshot tests pin is by
-//! construction what the executor does.
+//! ([`PhysicalPlan::render`], in the `explain` module) — what the
+//! snapshot tests pin is by construction what the executor does.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use etsqp_encoding::Encoding;
+use etsqp_encoding::{f64_to_ordered_i64, Encoding};
 use etsqp_storage::ingest::HotSnapshot;
 use etsqp_storage::page::Page;
-use etsqp_storage::store::SeriesStore;
+use etsqp_storage::store::{SeriesSnapshot, SeriesStore};
 
-use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow, TimeRange};
+use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow, TimeRange, ValueType};
 use crate::fused::FuseLevel;
-use crate::physical::agg::{fusion_covers, spread_fits_i64};
+use crate::physical::agg::{fusion_covers, header_bounds_are_values, spread_fits_i64};
 use crate::physical::merge::merge_partitions;
 use crate::physical::node::{
-    HotScan, Node, PageDecision, Parallelism, RootNode, SeriesPipeline, Strategy,
+    HotScan, PageDecision, Parallelism, RootNode, SeriesPipeline, Strategy,
 };
 use crate::physical::scan::{hot_verdict, page_verdict};
 use crate::physical::window::single_bucket_index;
@@ -51,27 +50,72 @@ enum Role {
     Rows,
 }
 
-/// Captures a series' atomic `(sealed pages, hot snapshot)` pair and
-/// compiles the hot half into the [`HotScan`] source of a unary
-/// pipeline, including its §V verdict over the snapshot's exact
-/// statistics. Float hot chunks are not compiled here — float queries go
-/// through [`crate::float`], which snapshots on its own.
-fn snapshot_unary(
+/// A series' value type, read from its value codecs (an empty series
+/// reads as integers).
+fn value_type(snap: &SeriesSnapshot) -> ValueType {
+    let float = matches!(snap.hot, Some(HotSnapshot::Float(_)))
+        || snap.pages.iter().any(|p| p.header.val_encoding.is_float());
+    if float {
+        ValueType::F64
+    } else {
+        ValueType::I64
+    }
+}
+
+/// A unary pipeline's source: pages, hot scan, value type, and the
+/// pushed-down predicate in that type's value domain.
+type Source = (Vec<Arc<Page>>, Option<HotScan>, ValueType, Predicate);
+
+/// Captures a series' atomic `(sealed pages, hot snapshot)` pair for a
+/// unary pipeline, maps the predicate into the series' value domain, and
+/// compiles the hot half into a [`HotScan`] with its §V verdict over the
+/// snapshot's exact statistics. Float sources reject the aggregates
+/// whose state is integer-only (quantile sketches, rate/delta).
+fn unary_source(
     store: &SeriesStore,
     series: &str,
-    pred: &Predicate,
+    pred: Predicate,
+    func: Option<AggFunc>,
     cfg: &PipelineConfig,
-) -> Result<(Vec<Arc<Page>>, Option<HotScan>)> {
+) -> Result<Source> {
     let snap = store.snapshot(series).map_err(Error::Storage)?;
-    let hot = match snap.hot {
-        Some(HotSnapshot::Int(h)) => Some(HotScan {
-            verdict: hot_verdict(&h.ts, h.min_value, h.max_value, pred, cfg.prune),
-            ts: h.ts,
-            vals: h.vals,
-        }),
-        _ => None,
+    // An empty series has no codec to type it; a float conjunct selects
+    // nothing there either way.
+    let empty = snap.pages.is_empty() && snap.hot.is_none();
+    let val_type = match value_type(&snap) {
+        ValueType::I64 if empty && pred.float.is_some() => ValueType::F64,
+        ty => ty,
     };
-    Ok((snap.pages, hot))
+    let pred = match (val_type, func) {
+        (ValueType::F64, Some(f)) if f.partial_only() => {
+            let name = f.name();
+            return Err(Error::Plan(format!(
+                "{name} is not supported on float series {series}"
+            )));
+        }
+        (ValueType::F64, _) => pred.on_floats(),
+        (ValueType::I64, _) if pred.float.is_some() => {
+            return Err(Error::Plan(format!(
+                "float value range on integer series {series}"
+            )))
+        }
+        (ValueType::I64, _) => pred,
+    };
+    let hot = snap.hot.map(|hot| {
+        let (ts, vals, min_value, max_value) = match hot {
+            HotSnapshot::Int(h) => (h.ts, h.vals, h.min_value, h.max_value),
+            HotSnapshot::Float(h) => {
+                let vals = h.vals.iter().map(|&v| f64_to_ordered_i64(v)).collect();
+                (h.ts, Arc::new(vals), h.min_value, h.max_value)
+            }
+        };
+        HotScan {
+            verdict: hot_verdict(&ts, min_value, max_value, &pred, cfg.prune),
+            ts,
+            vals,
+        }
+    });
+    Ok((snap.pages, hot, val_type, pred))
 }
 
 /// Captures a series' snapshot for a binary-operator side, materializing
@@ -79,13 +123,20 @@ fn snapshot_unary(
 /// series' own codecs) appended after the sealed pages. Partitioned
 /// merge nodes then see a single uniform page list — partitioning,
 /// pruning and pair-fusion checks all apply to live data unchanged.
-fn pages_with_hot(store: &SeriesStore, series: &str) -> Result<Vec<Arc<Page>>> {
+/// Binary operators are integer-only: a float series is a typed
+/// [`Error::Plan`].
+fn pages_with_hot(store: &SeriesStore, series: &str, pred: Predicate) -> Result<Source> {
     let snap = store.snapshot(series).map_err(Error::Storage)?;
+    if pred.float.is_some() || value_type(&snap) == ValueType::F64 {
+        return Err(Error::Plan(format!(
+            "binary operators over float series are not supported ({series})"
+        )));
+    }
     let mut pages = snap.pages;
     if let Some(HotSnapshot::Int(h)) = snap.hot {
         pages.push(Arc::new(h.to_page().map_err(Error::Storage)?));
     }
-    Ok(pages)
+    Ok((pages, None, ValueType::I64, pred))
 }
 
 /// Algorithm 2 `Pipe`: compiles the logical plan against the store's
@@ -111,58 +162,16 @@ pub fn compile(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result
 
 fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result<PhysicalPlan> {
     match plan {
-        Plan::Aggregate { input, func } => {
-            let (series, pred) = flatten_scan(input)?;
-            let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
-            let pipeline = build_pipeline(
-                series,
-                pred,
-                pages,
-                hot,
-                Role::Agg {
-                    func: *func,
-                    window: None,
-                },
-                cfg,
-            );
-            Ok(PhysicalPlan {
-                root: RootNode::Aggregate {
-                    func: *func,
-                    window: None,
-                },
-                pipelines: vec![pipeline],
-            })
-        }
+        Plan::Aggregate { input, func } => aggregate(input, *func, None, store, cfg),
         Plan::WindowAggregate {
             input,
             window,
             func,
-        } => {
-            let (series, pred) = flatten_scan(input)?;
-            let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
-            let pipeline = build_pipeline(
-                series,
-                pred,
-                pages,
-                hot,
-                Role::Agg {
-                    func: *func,
-                    window: Some(*window),
-                },
-                cfg,
-            );
-            Ok(PhysicalPlan {
-                root: RootNode::Aggregate {
-                    func: *func,
-                    window: Some(*window),
-                },
-                pipelines: vec![pipeline],
-            })
-        }
+        } => aggregate(input, *func, Some(*window), store, cfg),
         Plan::Scan { .. } | Plan::Filter { .. } => {
             let (series, pred) = flatten_scan(plan)?;
-            let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
-            let pipeline = build_pipeline(series, pred, pages, hot, Role::Rows, cfg);
+            let source = unary_source(store, &series, pred, None, cfg)?;
+            let pipeline = build_pipeline(series, source, Role::Rows, cfg);
             Ok(PhysicalPlan {
                 root: RootNode::Rows,
                 pipelines: vec![pipeline],
@@ -175,42 +184,59 @@ fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Resu
                 pipelines: vec![lpipe, rpipe],
             })
         }
-        Plan::Join { left, right, on } => {
-            let (lpipe, rpipe, partitions) = binary_sides(left, right, store, cfg)?;
-            Ok(PhysicalPlan {
-                root: RootNode::Join {
-                    partitions,
-                    op: None,
-                    on: *on,
-                },
-                pipelines: vec![lpipe, rpipe],
-            })
-        }
-        Plan::JoinExpr { left, right, op } => {
-            let (lpipe, rpipe, partitions) = binary_sides(left, right, store, cfg)?;
-            Ok(PhysicalPlan {
-                root: RootNode::Join {
-                    partitions,
-                    op: Some(*op),
-                    on: None,
-                },
-                pipelines: vec![lpipe, rpipe],
-            })
-        }
+        Plan::Join { left, right, on } => join(left, right, None, *on, store, cfg),
+        Plan::JoinExpr { left, right, op } => join(left, right, Some(*op), None, store, cfg),
         Plan::JoinAggregate { left, right, func } => {
             let (ls, lp) = flatten_scan(left)?;
             let (rs, rp) = flatten_scan(right)?;
-            let lpages = pages_with_hot(store, &ls)?;
-            let rpages = pages_with_hot(store, &rs)?;
-            let fused = lp.is_trivial() && rp.is_trivial() && pair_fusible(&lpages, &rpages, cfg);
-            let lpipe = build_pipeline(ls, lp, lpages, None, Role::Rows, cfg);
-            let rpipe = build_pipeline(rs, rp, rpages, None, Role::Rows, cfg);
+            let lsrc = pages_with_hot(store, &ls, lp)?;
+            let rsrc = pages_with_hot(store, &rs, rp)?;
+            let fused = lp.is_trivial() && rp.is_trivial() && pair_fusible(&lsrc.0, &rsrc.0, cfg);
+            let lpipe = build_pipeline(ls, lsrc, Role::Rows, cfg);
+            let rpipe = build_pipeline(rs, rsrc, Role::Rows, cfg);
             Ok(PhysicalPlan {
                 root: RootNode::PairAgg { func: *func, fused },
                 pipelines: vec![lpipe, rpipe],
             })
         }
     }
+}
+
+/// A whole-input or windowed aggregate over one series.
+fn aggregate(
+    input: &Plan,
+    func: AggFunc,
+    window: Option<SlidingWindow>,
+    store: &SeriesStore,
+    cfg: &PipelineConfig,
+) -> Result<PhysicalPlan> {
+    let (series, pred) = flatten_scan(input)?;
+    let source = unary_source(store, &series, pred, Some(func), cfg)?;
+    Ok(PhysicalPlan {
+        root: RootNode::Aggregate { func, window },
+        pipelines: vec![build_pipeline(
+            series,
+            source,
+            Role::Agg { func, window },
+            cfg,
+        )],
+    })
+}
+
+/// A natural join, emitting `op(a, b)` or the pairs passing `on`.
+fn join(
+    left: &Plan,
+    right: &Plan,
+    op: Option<BinOp>,
+    on: Option<CmpOp>,
+    store: &SeriesStore,
+    cfg: &PipelineConfig,
+) -> Result<PhysicalPlan> {
+    let (lpipe, rpipe, partitions) = binary_sides(left, right, store, cfg)?;
+    Ok(PhysicalPlan {
+        root: RootNode::Join { partitions, op, on },
+        pipelines: vec![lpipe, rpipe],
+    })
 }
 
 /// Compiles both sides of a binary operator and the time-range
@@ -223,11 +249,11 @@ fn binary_sides(
 ) -> Result<(SeriesPipeline, SeriesPipeline, Vec<TimeRange>)> {
     let (ls, lp) = flatten_scan(left)?;
     let (rs, rp) = flatten_scan(right)?;
-    let lpages = pages_with_hot(store, &ls)?;
-    let rpages = pages_with_hot(store, &rs)?;
-    let partitions = merge_partitions(&lpages, &rpages, cfg.threads);
-    let lpipe = build_pipeline(ls, lp, lpages, None, Role::Rows, cfg);
-    let rpipe = build_pipeline(rs, rp, rpages, None, Role::Rows, cfg);
+    let lsrc = pages_with_hot(store, &ls, lp)?;
+    let rsrc = pages_with_hot(store, &rs, rp)?;
+    let partitions = merge_partitions(&lsrc.0, &rsrc.0, cfg.threads);
+    let lpipe = build_pipeline(ls, lsrc, Role::Rows, cfg);
+    let rpipe = build_pipeline(rs, rsrc, Role::Rows, cfg);
     Ok((lpipe, rpipe, partitions))
 }
 
@@ -235,12 +261,11 @@ fn binary_sides(
 /// kept page, and the §III-C morsel shape.
 fn build_pipeline(
     series: String,
-    pred: Predicate,
-    pages: Vec<Arc<Page>>,
-    hot: Option<HotScan>,
+    source: Source,
     role: Role,
     cfg: &PipelineConfig,
 ) -> SeriesPipeline {
+    let (pages, hot, val_type, pred) = source;
     let mut decisions = Vec::with_capacity(pages.len());
     let mut kept: Vec<Arc<Page>> = Vec::new();
     for (index, page) in pages.iter().enumerate() {
@@ -290,6 +315,7 @@ fn build_pipeline(
     }
     SeriesPipeline {
         series,
+        val_type,
         pred,
         pages,
         decisions,
@@ -317,10 +343,7 @@ fn cacheable_page(
         && kept
         && pred.value.is_none()
         && time_covers_page(page, pred)
-        && match window {
-            None => true,
-            Some(w) => single_bucket_index(page, w).is_some(),
-        }
+        && window.is_none_or(|w| single_bucket_index(page, &w).is_some())
 }
 
 /// Whether the §III-C slicing morsel shape applies: unfiltered,
@@ -369,46 +392,27 @@ fn choose_page_strategy(
     if pred.value.is_some() {
         return Strategy::Decode;
     }
-    let covers = fusion_covers(func, page.header.val_encoding, cfg.fuse) && spread_fits_i64(page);
-    match window {
-        None => {
-            if covers && page.header.val_encoding == Encoding::Ts2Diff {
-                Strategy::FusedTs2Diff
-            } else if covers
-                && page.header.val_encoding == Encoding::DeltaRle
-                && time_covers_page(page, pred)
-            {
-                Strategy::FusedDeltaRle
-            } else if covers
-                && page.header.val_encoding == Encoding::StreamVByte
-                && time_covers_page(page, pred)
-            {
-                Strategy::FusedSvb
-            } else if matches!(func, AggFunc::Min | AggFunc::Max) && time_covers_page(page, pred) {
-                Strategy::HeaderMinMax
-            } else {
-                Strategy::Decode
-            }
-        }
-        // Windowed: TS2DIFF fuses per-window index subranges on any
-        // page; the whole-page forms (Delta-RLE, SVB, header MIN/MAX)
-        // additionally apply when the page is *bucket-aligned* — fully
-        // covered by the time filter and inside a single bucket — so
-        // only straddling pages decode.
-        Some(w) => {
-            let aligned = time_covers_page(page, pred) && single_bucket_index(page, w).is_some();
-            if covers && page.header.val_encoding == Encoding::Ts2Diff {
-                Strategy::FusedTs2Diff
-            } else if covers && page.header.val_encoding == Encoding::DeltaRle && aligned {
-                Strategy::FusedDeltaRle
-            } else if covers && page.header.val_encoding == Encoding::StreamVByte && aligned {
-                Strategy::FusedSvb
-            } else if matches!(func, AggFunc::Min | AggFunc::Max) && aligned {
-                Strategy::HeaderMinMax
-            } else {
-                Strategy::Decode
-            }
-        }
+    let enc = page.header.val_encoding;
+    let covers = fusion_covers(func, enc, cfg.fuse) && spread_fits_i64(page);
+    // TS2DIFF fuses (per-window index subranges when windowed) on any
+    // page; the whole-page forms (Delta-RLE, SVB, header MIN/MAX) need
+    // the page *aligned* — fully covered by the time filter and, under a
+    // window, inside a single bucket — so only straddling pages decode.
+    let aligned = time_covers_page(page, pred)
+        && window.is_none_or(|w| single_bucket_index(page, w).is_some());
+    if covers && enc == Encoding::Ts2Diff {
+        Strategy::FusedTs2Diff
+    } else if covers && enc == Encoding::DeltaRle && aligned {
+        Strategy::FusedDeltaRle
+    } else if covers && enc == Encoding::StreamVByte && aligned {
+        Strategy::FusedSvb
+    } else if matches!(func, AggFunc::Min | AggFunc::Max)
+        && aligned
+        && header_bounds_are_values(page)
+    {
+        Strategy::HeaderMinMax
+    } else {
+        Strategy::Decode
     }
 }
 
@@ -435,297 +439,4 @@ pub(crate) fn pair_fusible(left: &[Arc<Page>], right: &[Arc<Page>], cfg: &Pipeli
 /// Compiles and renders in one step — the engine's `EXPLAIN` entry point.
 pub fn explain(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result<String> {
     Ok(compile(plan, store, cfg)?.render(cfg))
-}
-
-fn fuse_name(level: FuseLevel) -> &'static str {
-    match level {
-        FuseLevel::None => "none",
-        FuseLevel::Delta => "delta",
-        FuseLevel::DeltaRepeat => "delta-repeat",
-    }
-}
-
-fn on_off(flag: bool) -> &'static str {
-    if flag {
-        "on"
-    } else {
-        "off"
-    }
-}
-
-fn fmt_bound(t: i64) -> String {
-    match t {
-        i64::MIN => "-inf".into(),
-        i64::MAX => "+inf".into(),
-        other => other.to_string(),
-    }
-}
-
-fn fmt_range(r: &TimeRange) -> String {
-    format!("[{}, {}]", fmt_bound(r.lo), fmt_bound(r.hi))
-}
-
-fn fmt_pred(pred: &Predicate) -> String {
-    let mut parts = Vec::new();
-    if let Some(t) = pred.time {
-        parts.push(format!("time in {}", fmt_range(&t)));
-    }
-    if let Some((lo, hi)) = pred.value {
-        parts.push(format!("value in [{lo}, {hi}]"));
-    }
-    if parts.is_empty() {
-        "none".into()
-    } else {
-        parts.join(" and ")
-    }
-}
-
-fn cmp_name(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
-        CmpOp::Eq => "=",
-    }
-}
-
-fn binop_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-    }
-}
-
-/// The operator chain a page group runs through, built from [`Node`]
-/// renderings so `EXPLAIN` and the node catalogue cannot drift apart.
-fn chain(strategy: Strategy, pred: &Predicate, role_func: Option<AggFunc>, sliced: bool) -> String {
-    let filter = Node::Filter {
-        time: pred.time.is_some(),
-        value: pred.value.is_some(),
-    };
-    let mut nodes: Vec<Node> = vec![Node::SourcePages];
-    match (strategy, role_func) {
-        _ if sliced => {
-            nodes.push(Node::Slice);
-            if let Some(func) = role_func {
-                nodes.push(Node::PartialAgg { func });
-            }
-        }
-        (
-            Strategy::FusedTs2Diff
-            | Strategy::FusedDeltaRle
-            | Strategy::FusedSvb
-            | Strategy::HeaderMinMax,
-            Some(func),
-        ) => {
-            nodes.push(Node::FusedAgg { strategy, func });
-        }
-        (s, Some(func)) => {
-            nodes.push(Node::DecodeScan {
-                serial: s == Strategy::Serial,
-            });
-            nodes.push(filter);
-            nodes.push(Node::PartialAgg { func });
-        }
-        (s, None) => {
-            nodes.push(Node::DecodeScan {
-                serial: s == Strategy::Serial,
-            });
-            nodes.push(filter);
-        }
-    }
-    nodes
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
-impl PhysicalPlan {
-    /// Renders the pipeline DAG as stable ASCII text (the `EXPLAIN`
-    /// output): config header, root merge node, and per-series pipelines
-    /// with page-group strategies and prune verdicts.
-    pub fn render(&self, cfg: &PipelineConfig) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "physical plan (threads={}, prune={}, fuse={}, vectorized={}, slicing={}, cache={})",
-            cfg.threads,
-            on_off(cfg.prune),
-            fuse_name(cfg.fuse),
-            on_off(cfg.vectorized),
-            on_off(cfg.allow_slicing),
-            on_off(cfg.partial_cache),
-        );
-        let role_func = match &self.root {
-            RootNode::Aggregate { func, window } => {
-                match window {
-                    Some(w) => {
-                        let _ = writeln!(
-                            out,
-                            "WindowAggregate[{}, t_min={}, dt={}] <- {}",
-                            func.name(),
-                            w.t_min,
-                            w.dt,
-                            Node::MergeConcat
-                        );
-                    }
-                    None => {
-                        let _ =
-                            writeln!(out, "Aggregate[{}] <- {}", func.name(), Node::MergeConcat);
-                    }
-                }
-                Some(*func)
-            }
-            RootNode::Rows => {
-                let _ = writeln!(out, "Rows <- {}", Node::MergeConcat);
-                None
-            }
-            RootNode::Union { partitions } => {
-                let _ = writeln!(
-                    out,
-                    "Union <- {} ({} partitions)",
-                    Node::MergeUnion,
-                    partitions.len()
-                );
-                render_partitions(&mut out, partitions);
-                None
-            }
-            RootNode::Join { partitions, op, on } => {
-                let mut extras = String::new();
-                if let Some(op) = op {
-                    let _ = write!(extras, ", expr: a {} b", binop_name(*op));
-                }
-                if let Some(on) = on {
-                    let _ = write!(extras, ", on: a {} b", cmp_name(*on));
-                }
-                let _ = writeln!(
-                    out,
-                    "Join <- {} ({} partitions{extras})",
-                    Node::MergeJoin,
-                    partitions.len()
-                );
-                render_partitions(&mut out, partitions);
-                None
-            }
-            RootNode::PairAgg { func, fused } => {
-                let how = if *fused {
-                    "FusedPairAgg (delta-rle, page-aligned)".to_string()
-                } else {
-                    format!("{}[moments]", Node::MergeJoin)
-                };
-                let _ = writeln!(out, "PairAgg[{}] <- {how}", func.name());
-                None
-            }
-        };
-        for p in &self.pipelines {
-            let kept_pages = p.decisions.iter().filter(|d| d.verdict.kept()).count();
-            let total_tuples: u64 = p.decisions.iter().map(|d| d.tuples).sum();
-            let encs = p
-                .pages
-                .first()
-                .map(|pg| {
-                    format!(
-                        " [ts={}, val={}]",
-                        pg.header.ts_encoding.name(),
-                        pg.header.val_encoding.name()
-                    )
-                })
-                .unwrap_or_default();
-            let _ = writeln!(
-                out,
-                "  pipeline {}: {} pages ({} kept), {} tuples{}",
-                p.series,
-                p.pages.len(),
-                kept_pages,
-                total_tuples,
-                encs
-            );
-            let _ = writeln!(out, "    pred: {}", fmt_pred(&p.pred));
-            let _ = writeln!(out, "    parallelism: {}", p.parallelism);
-            let sliced = matches!(p.parallelism, Parallelism::Sliced { .. });
-            // Group consecutive pages with the same verdict + strategy.
-            let mut i = 0;
-            while i < p.decisions.len() {
-                let d = &p.decisions[i];
-                let mut j = i;
-                while j + 1 < p.decisions.len()
-                    && p.decisions[j + 1].verdict == d.verdict
-                    && p.decisions[j + 1].strategy == d.strategy
-                    && p.decisions[j + 1].cacheable == d.cacheable
-                {
-                    j += 1;
-                }
-                let span = if i == j {
-                    format!("page {i}")
-                } else {
-                    format!("pages {i}-{j}")
-                };
-                // Static cache *eligibility* only — never live hit/miss
-                // counts, which would break the EXPLAIN purity check
-                // (`verify_explain` re-renders byte-identically).
-                let cache_tag = if d.cacheable { " [cacheable]" } else { "" };
-                match d.strategy {
-                    Some(s) => {
-                        let _ = writeln!(
-                            out,
-                            "    {span}: {} -> {}{cache_tag}",
-                            d.verdict,
-                            chain(s, &p.pred, role_func, sliced)
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "    {span}: {}", d.verdict);
-                    }
-                }
-                i = j + 1;
-            }
-            // The hot-chunk source renders last: the executor folds it
-            // after every sealed-page partial (its timestamps follow all
-            // sealed ones). Absent when nothing is buffered, so plans
-            // over flushed stores render exactly as before.
-            if let Some(hot) = &p.hot {
-                if hot.verdict.kept() {
-                    let _ = writeln!(
-                        out,
-                        "    hot ({} tuples): {} -> {}",
-                        hot.ts.len(),
-                        hot.verdict,
-                        hot_chain(&p.pred, role_func)
-                    );
-                } else {
-                    let _ = writeln!(out, "    hot ({} tuples): {}", hot.ts.len(), hot.verdict);
-                }
-            }
-        }
-        out
-    }
-}
-
-/// The operator chain a kept hot snapshot runs through: its columns are
-/// already decoded, so the chain is source → filter (→ partial agg).
-fn hot_chain(pred: &Predicate, role_func: Option<AggFunc>) -> String {
-    let mut nodes: Vec<Node> = vec![
-        Node::SourceHot,
-        Node::Filter {
-            time: pred.time.is_some(),
-            value: pred.value.is_some(),
-        },
-    ];
-    if let Some(func) = role_func {
-        nodes.push(Node::PartialAgg { func });
-    }
-    nodes
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
-fn render_partitions(out: &mut String, partitions: &[TimeRange]) {
-    for (i, r) in partitions.iter().enumerate() {
-        let _ = writeln!(out, "  partition {i}: {}", fmt_range(r));
-    }
 }

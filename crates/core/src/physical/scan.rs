@@ -15,7 +15,7 @@ use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
-use crate::decode::{decode_column, DecodeOptions};
+use crate::decode::{decode_column, decode_page, DecodeOptions};
 use crate::exec::{run_jobs_ctl, ExecStats};
 use crate::expr::Predicate;
 use crate::physical::node::{HotScan, PruneVerdict, Stage};
@@ -87,29 +87,28 @@ pub(crate) fn hot_rows(hot: &HotScan, pred: &Predicate, stats: &ExecStats) -> (V
         .tuples_scanned
         .fetch_add(hot.ts.len() as u64, Ordering::Relaxed);
     let _f = Stage::Filter.timer(stats);
-    let ts = &hot.ts[..];
-    let vals = &hot.vals[..];
+    filter_rows(&hot.ts, &hot.vals, pred)
+}
+
+/// The `Filter` node over decoded, time-ordered columns: the time
+/// conjunct is an index range, the value conjunct a per-row test.
+fn filter_rows(ts: &[i64], vals: &[i64], pred: &Predicate) -> (Vec<i64>, Vec<i64>) {
     let (a, b) = match pred.time {
         Some(tr) => {
             let a = ts.partition_point(|&t| t < tr.lo);
             let b = ts.partition_point(|&t| t <= tr.hi);
-            (a, b.max(a))
+            (a, b.max(a)) // empty ranges (lo > hi) select nothing
         }
         None => (0, ts.len()),
     };
+    let (ts, vals) = (&ts[a..b], &vals[a..b]);
     match pred.value {
-        None => (ts[a..b].to_vec(), vals[a..b].to_vec()),
-        Some((lo, hi)) => {
-            let mut out_ts = Vec::new();
-            let mut out_vals = Vec::new();
-            for i in a..b {
-                if vals[i] >= lo && vals[i] <= hi {
-                    out_ts.push(ts[i]);
-                    out_vals.push(vals[i]);
-                }
-            }
-            (out_ts, out_vals)
-        }
+        None => (ts.to_vec(), vals.to_vec()),
+        Some((lo, hi)) => ts
+            .iter()
+            .zip(vals)
+            .filter(|(_, &v)| v >= lo && v <= hi)
+            .unzip(),
     }
 }
 
@@ -282,7 +281,6 @@ pub(crate) fn scan_rows(
 ) -> Result<(Vec<i64>, Vec<i64>)> {
     let budget = budget_of(cfg);
     let outputs = run_jobs_ctl(
-        cfg.scheduler,
         kept,
         cfg.threads,
         stats,
@@ -310,7 +308,7 @@ pub(crate) fn scan_rows(
                 }
                 (ts, vals)
             } else {
-                page.decode().map_err(Error::Storage)?
+                decode_page(&page)?
             };
             if ts.len() != vals.len() || ts.len() != page.header.count as usize {
                 // A corrupt payload can decode to a different length than the
@@ -318,31 +316,7 @@ pub(crate) fn scan_rows(
                 return Err(Error::Decode("column length mismatch (corrupt page)"));
             }
             let _f = Stage::Filter.timer(stats);
-            let mut out_ts = Vec::with_capacity(ts.len());
-            let mut out_vals = Vec::with_capacity(ts.len());
-            let (a, b) = match pred.time {
-                Some(tr) => {
-                    let a = ts.partition_point(|&t| t < tr.lo);
-                    let b = ts.partition_point(|&t| t <= tr.hi);
-                    (a, b.max(a)) // empty ranges (lo > hi) select nothing
-                }
-                None => (0, ts.len()),
-            };
-            match pred.value {
-                None => {
-                    out_ts.extend_from_slice(&ts[a..b]);
-                    out_vals.extend_from_slice(&vals[a..b]);
-                }
-                Some((lo, hi)) => {
-                    for i in a..b {
-                        if vals[i] >= lo && vals[i] <= hi {
-                            out_ts.push(ts[i]);
-                            out_vals.push(vals[i]);
-                        }
-                    }
-                }
-            }
-            Ok((out_ts, out_vals))
+            Ok(filter_rows(&ts, &vals, pred))
         },
     )?;
     let _m = Stage::Merge.timer(stats);

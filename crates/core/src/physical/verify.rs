@@ -36,6 +36,9 @@
 //! * [`Invariant::PartialMergeOrder`] — kept pages are strictly
 //!   time-ordered and internally consistent, so the sequential partial
 //!   merge (FIRST/LAST, timestamp bounds, sketches) is order-safe.
+//! * [`Invariant::ValueType`] — page codecs match the source's value
+//!   type; a float source is never sliced and runs only decode or
+//!   NaN-free header strategies.
 //!
 //! [`verify`] is pure header/IR analysis and runs as a debug-assertion
 //! post-compile hook inside [`crate::physical::pipe::compile`];
@@ -48,8 +51,8 @@ use std::fmt;
 use etsqp_encoding::Encoding;
 use etsqp_storage::page::Page;
 
-use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::physical::agg::{fusion_covers, spread_fits_i64};
+use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange, ValueType};
+use crate::physical::agg::{fusion_covers, header_bounds_are_values, spread_fits_i64};
 use crate::physical::node::{Parallelism, RootNode, SeriesPipeline, Strategy};
 use crate::physical::pipe::{pair_fusible, sliceable, time_covers_page, PhysicalPlan};
 use crate::physical::scan::{hot_verdict, page_verdict};
@@ -87,6 +90,9 @@ pub enum Invariant {
     CacheObligation,
     /// Kept pages are strictly time-ordered (order-safe partial merge).
     PartialMergeOrder,
+    /// Page codecs match the source's value type; float sources run
+    /// only decode or NaN-free header strategies.
+    ValueType,
 }
 
 impl Invariant {
@@ -103,6 +109,7 @@ impl Invariant {
             Invariant::BucketTiling => "bucket-tiling",
             Invariant::CacheObligation => "cache-obligation",
             Invariant::PartialMergeOrder => "partial-merge-order",
+            Invariant::ValueType => "value-type",
         }
     }
 }
@@ -161,6 +168,7 @@ pub fn verify(plan: &PhysicalPlan, cfg: &PipelineConfig) -> VerifyResult {
     };
     for (i, p) in plan.pipelines.iter().enumerate() {
         check_prune_soundness(p, cfg)?;
+        check_value_type(p)?;
         check_slice_bounds(p, &role(i), cfg)?;
         check_fusion_admissibility(p, &role(i), cfg)?;
         check_hot_folds_last(p, &plan.root, cfg)?;
@@ -327,6 +335,37 @@ fn check_prune_soundness(p: &SeriesPipeline, cfg: &PipelineConfig) -> VerifyResu
                     p.series, d.index, d.verdict
                 ),
             );
+        }
+    }
+    Ok(())
+}
+
+fn check_value_type(p: &SeriesPipeline) -> VerifyResult {
+    let bad = |why: String| {
+        fail(
+            Invariant::ValueType,
+            format!("pipeline {}: {why}", p.series),
+        )
+    };
+    let float = p.val_type == ValueType::F64;
+    if float && matches!(p.parallelism, Parallelism::Sliced { .. }) {
+        return bad("sliced morsels on a float source".into());
+    }
+    for (page, d) in p.pages.iter().zip(&p.decisions) {
+        let enc = page.header.val_encoding;
+        match d.strategy {
+            _ if ValueType::of(enc) != p.val_type => {
+                let ty = p.val_type;
+                return bad(format!(
+                    "page {} is {} in a {ty:?} source",
+                    d.index,
+                    enc.name()
+                ));
+            }
+            None | Some(Strategy::Decode | Strategy::Serial) => {}
+            Some(Strategy::HeaderMinMax) if header_bounds_are_values(page) => {}
+            Some(s) if float => return bad(format!("page {} runs {s} on float values", d.index)),
+            Some(_) => {}
         }
     }
     Ok(())
@@ -696,6 +735,7 @@ mod tests {
             Invariant::BucketTiling,
             Invariant::CacheObligation,
             Invariant::PartialMergeOrder,
+            Invariant::ValueType,
         ];
         let names: Vec<_> = all.iter().map(|i| i.name()).collect();
         let mut dedup = names.clone();

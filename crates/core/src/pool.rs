@@ -486,7 +486,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_jobs, Scheduler};
+    use crate::exec::run_jobs;
     use crate::Error;
 
     #[test]
@@ -545,18 +545,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_spawn_schedulers_agree() {
+    fn pool_agrees_with_inline_execution() {
         let stats = ExecStats::default();
         for n in [2usize, 5, 17, 64] {
             let jobs: Vec<u64> = (0..n as u64).collect();
-            let a =
-                crate::exec::run_jobs_with(Scheduler::Pool, jobs.clone(), 4, &stats, |j| j * j + 1)
-                    .unwrap();
-            let b = crate::exec::run_jobs_with(Scheduler::SpawnPerQuery, jobs, 4, &stats, |j| {
-                j * j + 1
-            })
-            .unwrap();
-            assert_eq!(a, b);
+            let pooled = run_jobs(jobs.clone(), 4, &stats, |j| j * j + 1).unwrap();
+            let inline = run_jobs(jobs, 1, &stats, |j| j * j + 1).unwrap();
+            assert_eq!(pooled, inline);
         }
     }
 

@@ -16,7 +16,8 @@
 //!
 //! `WHERE` accepts conjunctions of comparisons over `time` and the value
 //! column (any other identifier). Strict comparisons are normalized to
-//! inclusive integer bounds (`A > a` ⇒ `A ≥ a+1`).
+//! inclusive integer bounds (`A > a` ⇒ `A ≥ a+1`) and marked strict, so
+//! a float series compares against `a` itself.
 //!
 //! `GROUP BY TIME(dt)` is the epoch-aligned spelling of the `SW(t_min,
 //! dt)` sliding window: the bucket origin snaps the `WHERE` time lower
@@ -595,6 +596,9 @@ fn parse_comparison(p: &mut Parser) -> Result<Conjunct> {
     if col.eq_ignore_ascii_case("time") || col.eq_ignore_ascii_case("t") {
         Ok(Conjunct::Single(Predicate::time(lo, hi)))
     } else {
-        Ok(Conjunct::Single(Predicate::value(lo, hi)))
+        Ok(Conjunct::Single(Predicate {
+            strict: (cmp == Cmp::Gt, cmp == Cmp::Lt),
+            ..Predicate::value(lo, hi)
+        }))
     }
 }

@@ -6,8 +6,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use etsqp_core::expr::{AggFunc, PairAggFunc, Plan, Predicate, TimeRange};
-use etsqp_core::float::{aggregate_f64, scan_f64, FloatRange};
+use etsqp_core::engine::{EngineOptions, IotDb};
+use etsqp_core::expr::{AggFunc, FloatRange, PairAggFunc, Plan, Predicate, TimeRange};
 use etsqp_core::oracle;
 use etsqp_core::plan::{execute, PipelineConfig, Value};
 use etsqp_encoding::Encoding;
@@ -43,12 +43,9 @@ fn sweep() -> Vec<Plan> {
         // Only the hot tail: sealed data ends at ts 2*927=1854... the
         // last sealed point is i=927 (ts 1854); hot covers i=928..999.
         time: Some(TimeRange { lo: 1856, hi: 1998 }),
-        value: None,
+        ..Predicate::default()
     };
-    let valued = Predicate {
-        time: None,
-        value: Some((-20, 20)),
-    };
+    let valued = Predicate::value(-20, 20);
     let mut plans = Vec::new();
     for func in [
         AggFunc::Sum,
@@ -148,10 +145,7 @@ fn hot_chunk_prunes_on_exact_stats() {
         store.append("s", i, i).unwrap(); // values 0..=9, all hot
     }
     let plan = Plan::scan("s")
-        .filter(Predicate {
-            time: None,
-            value: Some((100, 200)),
-        })
+        .filter(Predicate::value(100, 200))
         .aggregate(AggFunc::Count);
     let r = execute(&plan, &store, &cfg()).unwrap();
     assert_eq!(r.rows, vec![vec![Value::Null]]);
@@ -195,27 +189,29 @@ fn float_queries_see_hot_points() {
         want_sum += v;
     }
     assert!(store.buffered_points("f").unwrap() > 0);
-    let (agg, _) = aggregate_f64(&store, "f", None, None, &cfg()).unwrap();
-    assert_eq!(agg.count, 300);
-    assert!((agg.sum - want_sum).abs() < 1e-9);
-    let (ts, vals) = scan_f64(&store, "f", None, &cfg()).unwrap();
+    let db = IotDb::with_store(
+        store,
+        EngineOptions {
+            pipeline: cfg(),
+            ..Default::default()
+        },
+    );
+    let count = db.aggregate_f64("f", None, None, AggFunc::Count).unwrap();
+    assert_eq!(count, Some(300.0));
+    let sum = db.aggregate_f64("f", None, None, AggFunc::Sum).unwrap();
+    assert!((sum.unwrap() - want_sum).abs() < 1e-9);
+    let (ts, vals) = db.scan_f64("f", None).unwrap();
     assert_eq!(ts.len(), 300);
     assert_eq!(vals.len(), 300);
     assert!(ts.windows(2).all(|w| w[0] < w[1]), "time-ordered");
     // Value-filtered: hot rows obey the range filter like sealed ones.
-    let (agg, _) = aggregate_f64(
-        &store,
-        "f",
-        None,
-        Some(FloatRange { lo: 0.0, hi: 10.0 }),
-        &cfg(),
-    )
-    .unwrap();
+    let range = FloatRange { lo: 0.0, hi: 10.0 };
+    let count = db.aggregate_f64("f", None, Some(range), AggFunc::Count);
     let want = (0..300)
         .map(|i| (i as f64 * 0.37).sin() * 10.0)
         .filter(|v| (0.0..=10.0).contains(v))
-        .count() as u64;
-    assert_eq!(agg.count, want);
+        .count() as f64;
+    assert_eq!(count.unwrap(), Some(want));
 }
 
 /// Concurrent append-while-query: 8 query threads hammer a series that a

@@ -137,7 +137,6 @@ proptest! {
 mod verdict_validation {
     use super::run_length_series;
     use etsqp_core::decode::DecodeOptions;
-    use etsqp_core::exec::Scheduler;
     use etsqp_core::expr::{AggFunc, Plan, Predicate};
     use etsqp_core::fused::FuseLevel;
     use etsqp_core::oracle;
@@ -156,7 +155,6 @@ mod verdict_validation {
             decode: DecodeOptions::default(),
             allow_slicing: false,
             decode_budget_bytes: None,
-            scheduler: Scheduler::Pool,
             partial_cache: true,
         }
     }
@@ -187,7 +185,7 @@ mod verdict_validation {
             // honest pages land on both sides.
             let (c1, c2) = super::filter_for(&values, 7, 5000);
             let plan = Plan::scan("s")
-                .filter(Predicate { time: None, value: Some((c1, c2)) })
+                .filter(Predicate::value(c1, c2))
                 .aggregate(AggFunc::Sum);
             let honest = oracle::execute(&plan, &store).unwrap();
 

@@ -383,6 +383,41 @@ fn partial_merge_order_rejects_out_of_order_pages() {
 }
 
 #[test]
+fn value_type_rejects_float_pages_off_the_decode_path() {
+    // A float series whose first page holds a NaN reading: its header max
+    // is a NaN image, so MAX must decode that page (MIN/MAX skip NaN).
+    let store = SeriesStore::new(PAGE_POINTS);
+    store.create_series_f64("f", Encoding::Ts2Diff, Encoding::Chimp);
+    for i in 0..ROWS {
+        let v = if i == 3 { f64::NAN } else { i as f64 * 0.5 };
+        store.append_f64("f", i * 10, v).unwrap();
+    }
+    store.flush("f").unwrap();
+    let cfg = cfg();
+    let max = Plan::scan("f").aggregate(AggFunc::Max);
+    let phys = compile(&max, &store, &cfg).unwrap();
+    let strategies: Vec<_> = phys.pipelines[0]
+        .decisions
+        .iter()
+        .map(|d| d.strategy)
+        .collect();
+    assert_eq!(strategies[0], Some(Strategy::Decode));
+    assert_eq!(strategies[1], Some(Strategy::HeaderMinMax));
+
+    let mut nan_header = phys.clone();
+    nan_header.pipelines[0].decisions[0].strategy = Some(Strategy::HeaderMinMax);
+    expect_invariant(verify(&nan_header, &cfg), Invariant::ValueType);
+
+    let mut fused = compile(&sum_plan("f"), &store, &cfg).unwrap();
+    fused.pipelines[0].decisions[1].strategy = Some(Strategy::FusedTs2Diff);
+    expect_invariant(verify(&fused, &cfg), Invariant::ValueType);
+
+    let mut sliced = compile(&sum_plan("f"), &store, &cfg).unwrap();
+    sliced.pipelines[0].parallelism = Parallelism::Sliced { pages: 4, jobs: 4 };
+    expect_invariant(verify(&sliced, &cfg), Invariant::ValueType);
+}
+
+#[test]
 fn driver_refuses_plans_without_checksum_obligations() {
     // End-to-end: the executor itself rejects a tampered plan whose
     // pruned page lost its obligation (defense in depth behind the

@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use etsqp_core::expr::AggFunc;
+use etsqp_core::expr::{AggFunc, ValueType};
 use etsqp_core::partial::PartialState;
 use etsqp_core::plan::Value;
 use etsqp_encoding::Encoding;
@@ -199,6 +199,13 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
                 seeds.push(s.to_bytes());
             }
             seeds.push(PartialState::new(AggFunc::Count).to_bytes());
+            // A float source's partial: the trailing f64 Σ/Σ² block.
+            let mut f = PartialState::for_source(AggFunc::Sum, ValueType::F64);
+            for i in 0..300i64 {
+                let v = (i as f64 * 0.37).sin() * 20.0;
+                f.push_tv(1_000 + i * 10, etsqp_encoding::f64_to_ordered_i64(v));
+            }
+            seeds.push(f.to_bytes());
             seeds
         }
         Target::Proto => {

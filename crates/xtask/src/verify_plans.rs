@@ -9,6 +9,8 @@
 //!    [`verify_deep`](etsqp_core::physical::verify::verify_deep) (which
 //!    also discharges every checksum obligation) and
 //!    [`verify_explain`](etsqp_core::physical::verify::verify_explain).
+//!    A float-series cell (sealed pages plus a hot tail, with NaN
+//!    readings) runs the unary battery the same way.
 //!    The planner must produce zero violations across the whole space.
 //!
 //! 2. **Mutation** — hand-corrupts compiled plans, one corruption per
@@ -18,8 +20,7 @@
 //!    wrong reason — fails the build.
 
 use etsqp_core::decode::DecodeOptions;
-use etsqp_core::exec::Scheduler;
-use etsqp_core::expr::{AggFunc, BinOp, CmpOp, PairAggFunc, Plan, Predicate, TimeRange};
+use etsqp_core::expr::{AggFunc, BinOp, CmpOp, FloatRange, PairAggFunc, Plan, Predicate};
 use etsqp_core::fused::FuseLevel;
 use etsqp_core::physical::node::{Parallelism, PruneVerdict, RootNode, Strategy};
 use etsqp_core::physical::pipe;
@@ -74,7 +75,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                             decode: DecodeOptions::default(),
                             allow_slicing,
                             decode_budget_bytes: None,
-                            scheduler: Scheduler::Pool,
                             partial_cache: true,
                         });
                     }
@@ -95,7 +95,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         decode: DecodeOptions::default(),
         allow_slicing: false,
         decode_budget_bytes: None,
-        scheduler: Scheduler::Pool,
         partial_cache: true,
     };
     vec![
@@ -172,17 +171,8 @@ fn cell(
         .iter()
         .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
     let vspan = (vmax - vmin).max(1);
-    let t_mid = Predicate {
-        time: Some(TimeRange {
-            lo: t0 + span / 4,
-            hi: tn - span / 4,
-        }),
-        value: None,
-    };
-    let v_band = Predicate {
-        time: None,
-        value: Some((vmin + vspan / 5, vmax - vspan / 5)),
-    };
+    let t_mid = Predicate::time(t0 + span / 4, tn - span / 4);
+    let v_band = Predicate::value(vmin + vspan / 5, vmax - vspan / 5);
     let both = t_mid.and(&v_band);
     let w_min = t0 + span / 5;
     let w_dt = (span / 9).max(1);
@@ -275,6 +265,64 @@ fn cell(
     (store, queries)
 }
 
+/// A float series `f` — Chimp pages (some holding NaN) plus a hot tail —
+/// and the unary battery over it: every float-capable aggregate under
+/// time, value and float-range filters and windows, plus a row scan.
+fn float_cell() -> (SeriesStore, Vec<(String, Plan)>) {
+    let store = SeriesStore::new(PAGE_POINTS);
+    store.create_series_f64("f", Encoding::Ts2Diff, Encoding::Chimp);
+    for i in 0..(ROWS + 40) as i64 {
+        let v = if i % 97 == 7 {
+            f64::NAN
+        } else {
+            (i as f64 * 0.1).sin() * 20.0
+        };
+        store.append_f64("f", i * 10, v).unwrap();
+        if i + 1 == ROWS as i64 {
+            store.flush("f").unwrap();
+        }
+    }
+    let t_mid = Predicate::time(600, 2000);
+    let v_band = Predicate::value(-10, 12);
+    let f_band = Predicate {
+        float: Some(FloatRange { lo: -3.5, hi: 7.25 }),
+        ..Predicate::default()
+    };
+    let mut queries = Vec::new();
+    for func in [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+        AggFunc::First,
+        AggFunc::Last,
+    ] {
+        let name = func.name();
+        let scan = || Plan::scan("f");
+        queries.push((format!("{name}(all)"), scan().aggregate(func)));
+        queries.push((
+            format!("{name}(time)"),
+            scan().filter(t_mid).aggregate(func),
+        ));
+        queries.push((
+            format!("{name}(value)"),
+            scan().filter(v_band).aggregate(func),
+        ));
+        queries.push((
+            format!("{name}(float)"),
+            scan().filter(f_band).aggregate(func),
+        ));
+        queries.push((format!("W{name}"), scan().window(300, 640, func)));
+    }
+    queries.push((
+        "SCAN(both)".into(),
+        Plan::scan("f").filter(t_mid.and(&v_band)),
+    ));
+    (store, queries)
+}
+
 /// Compile + deep-verify + EXPLAIN-round-trip one plan under one config.
 fn check_one(store: &SeriesStore, plan: &Plan, cfg: &PipelineConfig) -> Result<(), String> {
     let phys = pipe::compile(plan, store, cfg).map_err(|e| format!("compile: {e}"))?;
@@ -317,24 +365,17 @@ pub fn run() -> Report {
     let canon = canonical_configs();
     let cross = all_configs();
 
-    let sweep = |spec: Spec,
-                 val_codec: Encoding,
-                 ts_codec: Encoding,
-                 hot: bool,
+    let sweep = |label: String,
+                 (store, queries): (SeriesStore, Vec<(String, Plan)>),
                  full_cross: bool,
                  report: &mut Report| {
-        let (store, queries) = cell(spec, val_codec, ts_codec, hot);
         report.cells += 1;
         let mut run_case = |qname: &str, plan: &Plan, cfg: &PipelineConfig| {
             report.plans += 1;
             if let Err(e) = check_one(&store, plan, cfg) {
                 report.violations += 1;
                 eprintln!(
-                    "verify-plans: VIOLATION spec={} val={:?} ts={:?} hot={hot} cfg=[{}] \
-                     query={qname}: {e}",
-                    spec.label(),
-                    val_codec,
-                    ts_codec,
+                    "verify-plans: VIOLATION {label} cfg=[{}] query={qname}: {e}",
                     cfg_label(cfg),
                 );
             }
@@ -355,26 +396,36 @@ pub fn run() -> Report {
             }
         }
     };
+    let label = |spec: Spec, val: Encoding, ts: Encoding, hot: bool| {
+        format!("spec={} val={val:?} ts={ts:?} hot={hot}", spec.label())
+    };
 
     // Every Table II dataset × every value codec.
     for spec in Spec::ALL {
         for val_codec in VAL_CODECS {
-            sweep(spec, val_codec, Encoding::Ts2Diff, false, true, &mut report);
+            let ts = Encoding::Ts2Diff;
+            let cell = cell(spec, val_codec, ts, false);
+            sweep(label(spec, val_codec, ts, false), cell, true, &mut report);
         }
     }
     // Timestamp-codec cells (the time column drives filters and windows).
     for spec in [Spec::Atmosphere, Spec::Timestamp, Spec::Tpch] {
         for ts_codec in TS_CODECS {
-            sweep(spec, Encoding::Ts2Diff, ts_codec, false, false, &mut report);
+            let val = Encoding::Ts2Diff;
+            let cell = cell(spec, val, ts_codec, false);
+            sweep(label(spec, val, ts_codec, false), cell, false, &mut report);
         }
     }
     // Hot+sealed cells: every plan gains a `SourceHot` source, exercising
     // the hot-folds-last invariant on real compiled plans.
     for spec in [Spec::Atmosphere, Spec::Timestamp] {
         for codec in [Encoding::Ts2Diff, Encoding::StreamVByte] {
-            sweep(spec, codec, codec, true, false, &mut report);
+            let cell = cell(spec, codec, codec, true);
+            sweep(label(spec, codec, codec, true), cell, false, &mut report);
         }
     }
+    // The float cell, under the full cross as well.
+    sweep("float series f".into(), float_cell(), true, &mut report);
 
     mutation_pass(&mut report);
     report
@@ -600,6 +651,34 @@ fn mutation_pass(report: &mut Report) {
     expect(
         "cache-obligation/value-filtered",
         Invariant::CacheObligation,
+        verify(&phys, &cfg),
+        report,
+    );
+
+    // value-type: a float page answered from header bounds that include
+    // a NaN image (the planner must decode it), and a float page handed
+    // a fused strategy.
+    let (fstore, _) = float_cell();
+    let max_f = Plan::scan("f").aggregate(AggFunc::Max);
+    let mut phys = pipe::compile(&max_f, &fstore, &cfg).unwrap();
+    let d = phys.pipelines[0]
+        .decisions
+        .iter_mut()
+        .find(|d| d.strategy == Some(Strategy::Decode))
+        .expect("float fixture has a page holding NaN");
+    d.strategy = Some(Strategy::HeaderMinMax);
+    expect(
+        "value-type/nan-header-bounds",
+        Invariant::ValueType,
+        verify(&phys, &cfg),
+        report,
+    );
+    let sum_f = Plan::scan("f").aggregate(AggFunc::Sum);
+    let mut phys = pipe::compile(&sum_f, &fstore, &cfg).unwrap();
+    phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedTs2Diff);
+    expect(
+        "value-type/fused-float-page",
+        Invariant::ValueType,
         verify(&phys, &cfg),
         report,
     );

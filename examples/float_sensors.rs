@@ -1,13 +1,12 @@
 //! Float sensor columns end-to-end: ingest f64 readings under the XOR
 //! codec family (Gorilla / Chimp / Elf), compare their footprints, and
-//! run pruned range aggregations.
+//! run pruned range aggregations through the API and through SQL.
 //!
 //! ```sh
 //! cargo run --release --example float_sensors
 //! ```
 
-use etsqp::core::float::FloatRange;
-use etsqp::{AggFunc, Encoding, EngineOptions, IotDb, TimeRange};
+use etsqp::{AggFunc, Encoding, EngineOptions, FloatRange, IotDb, TimeRange, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = IotDb::new(EngineOptions::default());
@@ -63,6 +62,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AggFunc::Count,
     )?;
     println!("COUNT(temp > 24.5): {:?}", hot);
+
+    // SQL reaches float series through the same pipeline.
+    let max = db.query("SELECT MAX(temp_elf) FROM temp_elf")?.rows[0][0];
+    println!("SELECT MAX(temp_elf) FROM temp_elf: {max:?}");
+    assert_eq!(
+        max,
+        Value::Float(
+            db.aggregate_f64("temp_elf", None, None, AggFunc::Max)?
+                .unwrap()
+        )
+    );
 
     // Verify all three codecs agree on every aggregate.
     for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Variance] {

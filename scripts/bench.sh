@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# Short-query throughput benchmark: persistent work-stealing pool vs the
-# spawn-per-query baseline, at 1/2/4/8 configured threads.
+# Short-query throughput benchmark on the persistent work-stealing pool,
+# at 1/2/4/8 configured threads.
 #
 # Run from the repository root:
 #   bash scripts/bench.sh
 #
-# Writes BENCH_pool.json at the repo root (per-thread-count q/s for both
-# schedulers plus the 8-thread pool-vs-spawn speedup) and echoes the
-# human-readable lines to stderr. Scale with ETSQP_BENCH_QUERIES
+# Writes BENCH_pool.json at the repo root (per-thread-count q/s) and
+# echoes the human-readable lines to stderr. Scale with ETSQP_BENCH_QUERIES
 # (queries per cell, default 1000).
 set -euo pipefail
 

@@ -104,7 +104,7 @@ else
     echo "==> miri unavailable, skipping (non-gating)"
 fi
 
-# Non-gating perf smoke: pool-vs-spawn short-query throughput trajectory
+# Non-gating perf smoke: pool short-query throughput trajectory
 # (BENCH_pool.json). A perf regression here is a signal, not a failure.
 echo "==> scripts/bench.sh (non-gating smoke)"
 ETSQP_BENCH_QUERIES="${ETSQP_BENCH_QUERIES:-100}" \

@@ -115,3 +115,36 @@ fn config_switches_apply() {
         .collect();
     assert!(sums.len() >= 2, "{out}");
 }
+
+#[test]
+fn float_series_answer_through_the_cli() {
+    use etsqp::{AggFunc, Encoding, EngineOptions, IotDb, Plan};
+
+    let dir = TempDir::new("float");
+    let file = dir.file("float.etsqp");
+    let db = IotDb::new(EngineOptions::default().with_page_points(100));
+    db.create_series_f64("f", Encoding::Chimp).unwrap();
+    for i in 0..1000i64 {
+        db.append_f64("f", i * 10, 20.5 + (i % 25) as f64 * 0.25)
+            .unwrap();
+    }
+    db.flush().unwrap();
+    etsqp::storage::tsfile::write(db.store(), &file).unwrap();
+
+    let out = run_cli(
+        "SELECT MAX(f) FROM f\nSELECT COUNT(f) FROM f WHERE f >= 24\nSELECT P95(f) FROM f\n.quit\n",
+        &[file.to_str().unwrap()],
+    );
+    let oracle = |plan: Plan| etsqp::core::oracle::execute(&plan, db.store()).unwrap().1;
+    assert_eq!(
+        oracle(Plan::scan("f").aggregate(AggFunc::Max))[0][0],
+        etsqp::Value::Float(26.5)
+    );
+    assert!(out.contains("\n26.5000\n"), "{out}");
+    let count = oracle(etsqp::core::sql::parse("SELECT COUNT(f) FROM f WHERE f >= 24").unwrap());
+    assert!(
+        out.contains(&format!("\n{}\n", count[0][0].as_f64())),
+        "{out}"
+    );
+    assert!(!out.contains("corrupt"), "{out}");
+}

@@ -7,14 +7,16 @@
 //! failure in CI pins down the exact (codec × config × query) cell.
 
 use etsqp::core::decode::DecodeOptions;
-use etsqp::core::exec::Scheduler;
 use etsqp::core::expr::{BinOp, CmpOp, PairAggFunc};
 use etsqp::core::oracle;
 use etsqp::core::physical::pipe;
 use etsqp::core::plan::execute;
+use etsqp::core::sql;
 use etsqp::datasets::Spec;
 use etsqp::storage::store::SeriesStore;
-use etsqp::{AggFunc, Encoding, FuseLevel, PipelineConfig, Plan, Predicate, TimeRange, Value};
+use etsqp::{
+    AggFunc, Encoding, FloatRange, FuseLevel, IotDb, PipelineConfig, Plan, Predicate, Value,
+};
 
 const ROWS: usize = 256;
 const PAGE_POINTS: usize = 64;
@@ -59,7 +61,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                             decode: DecodeOptions::default(),
                             allow_slicing,
                             decode_budget_bytes: None,
-                            scheduler: Scheduler::Pool,
                             partial_cache: true,
                         });
                     }
@@ -80,7 +81,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         decode: DecodeOptions::default(),
         allow_slicing: false,
         decode_budget_bytes: None,
-        scheduler: Scheduler::Pool,
         partial_cache: true,
     };
     vec![
@@ -93,15 +93,15 @@ fn canonical_configs() -> Vec<PipelineConfig> {
             allow_slicing: true,
             ..base
         },
-        // The spawn-per-query baseline must agree with the pool on the
-        // full battery (scheduler differential).
+        // The same vectorized config with every job run inline on the
+        // caller must agree with the pool on the full battery (scheduler
+        // differential: pool threads 1 vs N).
         PipelineConfig {
             vectorized: true,
             fuse: FuseLevel::DeltaRepeat,
             prune: true,
-            threads: 4,
+            threads: 1,
             allow_slicing: true,
-            scheduler: Scheduler::SpawnPerQuery,
             ..base
         },
         PipelineConfig {
@@ -123,8 +123,8 @@ fn canonical_configs() -> Vec<PipelineConfig> {
 
 fn cfg_label(cfg: &PipelineConfig) -> String {
     format!(
-        "vec={} fuse={:?} prune={} threads={} slice={} sched={:?}",
-        cfg.vectorized, cfg.fuse, cfg.prune, cfg.threads, cfg.allow_slicing, cfg.scheduler
+        "vec={} fuse={:?} prune={} threads={} slice={}",
+        cfg.vectorized, cfg.fuse, cfg.prune, cfg.threads, cfg.allow_slicing
     )
 }
 
@@ -132,7 +132,8 @@ fn cfg_label(cfg: &PipelineConfig) -> String {
 type Table = (Vec<String>, Vec<Vec<Value>>);
 
 struct Fixture {
-    spec: Spec,
+    /// Data label for reproducer lines (dataset, or the float layout).
+    label: String,
     codec: Encoding,
     store: SeriesStore,
     /// Registered series names (first two columns of the dataset).
@@ -141,6 +142,9 @@ struct Fixture {
     queries: Vec<(String, Plan)>,
     /// Oracle results, computed lazily per query index.
     oracle: Vec<Option<Table>>,
+    /// Float series: Σ-derived cells (SUM/AVG/VARIANCE) depend on the
+    /// summation order, so they compare within 1e-9 relative.
+    approx: bool,
 }
 
 /// Builds the store for one (spec, value codec, ts codec) cell and the
@@ -166,17 +170,8 @@ fn fixture(spec: Spec, val_codec: Encoding, ts_codec: Encoding) -> Fixture {
         .iter()
         .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
     let vspan = (vmax - vmin).max(1);
-    let t_mid = Predicate {
-        time: Some(TimeRange {
-            lo: t0 + span / 4,
-            hi: tn - span / 4,
-        }),
-        value: None,
-    };
-    let v_band = Predicate {
-        time: None,
-        value: Some((vmin + vspan / 5, vmax - vspan / 5)),
-    };
+    let t_mid = Predicate::time(t0 + span / 4, tn - span / 4);
+    let v_band = Predicate::value(vmin + vspan / 5, vmax - vspan / 5);
     let both = t_mid.and(&v_band);
     let w_min = t0 + span / 5;
     let w_dt = (span / 9).max(1);
@@ -282,28 +277,118 @@ fn fixture(spec: Spec, val_codec: Encoding, ts_codec: Encoding) -> Fixture {
     ];
     let n = queries.len();
     Fixture {
-        spec,
+        label: spec.label().to_string(),
         codec: val_codec,
         store,
         a,
         b,
         queries,
         oracle: vec![None; n],
+        approx: false,
     }
 }
 
-fn value_eq(a: &Value, b: &Value) -> bool {
+/// Where a float fixture's points live when queried.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Every point flushed into pages.
+    Sealed,
+    /// Every point still in the unflushed hot chunk.
+    Hot,
+    /// Sealed pages plus an unflushed hot tail.
+    Mixed,
+}
+
+/// A float series `f` (two-decimal sensor readings, including `-0.0` and
+/// `0.0`) under one XOR codec and layout, and the float query battery:
+/// SQL (the shapes that used to misreport or fail) and plans carrying a
+/// [`FloatRange`].
+fn float_fixture(codec: Encoding, layout: Layout) -> Fixture {
+    let store = SeriesStore::new(PAGE_POINTS);
+    store.create_series_f64("f", Encoding::Ts2Diff, codec);
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i * 10).collect();
+    let vals: Vec<f64> = (0..ROWS)
+        .map(|i| match i % 41 {
+            7 => -0.0,
+            8 => 0.0,
+            _ => ((i as f64 * 0.05).sin() * 300.0).round() / 100.0 + 23.5 * (i % 3) as f64,
+        })
+        .collect();
+    let sealed = match layout {
+        Layout::Sealed => ROWS,
+        Layout::Hot => 0,
+        Layout::Mixed => ROWS - 40,
+    };
+    for (i, (&t, &v)) in ts.iter().zip(&vals).enumerate() {
+        store.append_f64("f", t, v).unwrap();
+        if i + 1 == sealed {
+            store.flush("f").unwrap();
+        }
+    }
+    let sql_battery = [
+        "SELECT MAX(f) FROM f",
+        "SELECT COUNT(f) FROM f",
+        "SELECT SUM(f) FROM f",
+        "SELECT MIN(f) FROM f WHERE time >= 1500 AND time <= 2300",
+        "SELECT AVG(f) FROM f WHERE time >= 1200",
+        "SELECT COUNT(f) FROM f WHERE f >= 1 AND f <= 25",
+        "SELECT MAX(f) FROM f WHERE f <= 20 AND time <= 2000",
+        "SELECT VARIANCE(f) FROM f",
+        "SELECT FIRST(f) FROM f WHERE f >= 24",
+        "SELECT LAST(f) FROM f WHERE time <= 3000",
+        "SELECT SUM(f) FROM f SW(1200, 400)",
+        "SELECT MAX(f) FROM f SW(1000, 640)",
+        "SELECT AVG(f) FROM f GROUP BY TIME(500)",
+        "SELECT COUNT(f) FROM f WHERE f >= 20 GROUP BY TIME(700)",
+        "SELECT * FROM f WHERE f >= 25 AND time >= 1800",
+        "SELECT COUNT(f) FROM f WHERE f > 20 AND f < 23",
+        "SELECT MIN(f) FROM f WHERE f > 0",
+        "SELECT * FROM f WHERE f > 24 AND f < 25 AND time <= 2500",
+    ];
+    let mut queries: Vec<(String, Plan)> = sql_battery
+        .iter()
+        .map(|q| (q.to_string(), sql::parse(q).unwrap()))
+        .collect();
+    let band = Predicate {
+        float: Some(FloatRange {
+            lo: -0.0,
+            hi: 23.75,
+        }),
+        ..Predicate::time(1_300, 3_200)
+    };
+    for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+        let plan = Plan::scan("f").filter(band).aggregate(func);
+        queries.push((format!("{}(float range)", func.name()), plan));
+    }
+    let n = queries.len();
+    Fixture {
+        label: format!("float-{layout:?}"),
+        codec,
+        store,
+        a: "f".into(),
+        b: "f".into(),
+        queries,
+        oracle: vec![None; n],
+        approx: true,
+    }
+}
+
+fn value_eq(a: &Value, b: &Value, approx: bool) -> bool {
     match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x == y || (x.is_nan() && y.is_nan()),
+        (Value::Float(x), Value::Float(y)) => {
+            x == y
+                || (x.is_nan() && y.is_nan())
+                || (approx && (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0))
+        }
         _ => a == b,
     }
 }
 
-fn rows_eq(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+fn rows_eq(a: &[Vec<Value>], b: &[Vec<Value>], approx: bool) -> bool {
     a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(ra, rb)| ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| value_eq(x, y)))
+        && a.iter().zip(b).all(|(ra, rb)| {
+            ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| value_eq(x, y, approx))
+        })
 }
 
 /// Runs query `qi` of `fx` under `cfg` and compares against the cached
@@ -321,7 +406,7 @@ fn check(fx: &mut Fixture, qi: usize, cfg: &PipelineConfig) -> usize {
     let phys = pipe::compile(plan, &fx.store, cfg).unwrap_or_else(|e| {
         panic!(
             "DIFF spec={} codec={:?} cfg=[{}] query={}: physical compile error {e}",
-            fx.spec.label(),
+            fx.label,
             fx.codec,
             cfg_label(cfg),
             qname,
@@ -340,18 +425,18 @@ fn check(fx: &mut Fixture, qi: usize, cfg: &PipelineConfig) -> usize {
     let got = execute(plan, &fx.store, cfg).unwrap_or_else(|e| {
         panic!(
             "DIFF spec={} codec={:?} cfg=[{}] query={} seed=rows{}: engine error {e}",
-            fx.spec.label(),
+            fx.label,
             fx.codec,
             cfg_label(cfg),
             qname,
             ROWS
         )
     });
-    if &got.columns != ocols || !rows_eq(&got.rows, orows) {
+    if &got.columns != ocols || !rows_eq(&got.rows, orows, fx.approx) {
         // Single-line reproducer first, then the diffing payloads.
         eprintln!(
             "DIFF spec={} codec={:?} cfg=[{}] query={} seed=rows{}",
-            fx.spec.label(),
+            fx.label,
             fx.codec,
             cfg_label(cfg),
             qname,
@@ -390,23 +475,141 @@ fn every_config_agrees_with_oracle() {
 }
 
 /// Block B: the complete query battery under the canonical corner
-/// configs, on every (spec × value codec) cell.
+/// configs, on every (spec × value codec) cell, plus the float battery
+/// on every (float codec × sealed/hot/mixed layout) cell.
 #[test]
 fn full_battery_agrees_with_oracle() {
     let configs = canonical_configs();
     let mut cases = 0usize;
+    let mut fixtures: Vec<Fixture> = Vec::new();
     for spec in Spec::ALL {
         for codec in VAL_CODECS {
-            let mut fx = fixture(spec, codec, Encoding::Ts2Diff);
-            for qi in 0..fx.queries.len() {
-                for cfg in &configs {
-                    cases += check(&mut fx, qi, cfg);
-                }
+            fixtures.push(fixture(spec, codec, Encoding::Ts2Diff));
+        }
+    }
+    for codec in [Encoding::GorillaFloat, Encoding::Chimp, Encoding::Elf] {
+        for layout in [Layout::Sealed, Layout::Hot, Layout::Mixed] {
+            fixtures.push(float_fixture(codec, layout));
+        }
+    }
+    for mut fx in fixtures {
+        for qi in 0..fx.queries.len() {
+            for cfg in &configs {
+                cases += check(&mut fx, qi, cfg);
             }
         }
     }
     assert!(cases >= 200, "battery too small: {cases} cases");
     eprintln!("differential battery: {cases} cases, zero mismatches");
+}
+
+/// Block B′: float edge cases pinned to fixed answers through SQL. NaN
+/// counts, propagates through SUM/AVG, never wins MIN/MAX and never lies
+/// inside a value range — also when a page header's bound is a NaN image,
+/// which must send MIN/MAX to the decode path instead of the header.
+/// Quantiles, rate/delta and the binary operators (Q4–Q6) over a float
+/// series are a typed plan error (exit 1), never a corrupt-data error.
+#[test]
+fn float_edge_cases_are_pinned() {
+    let db = IotDb::new(etsqp::EngineOptions::default().with_page_points(PAGE_POINTS));
+    db.create_series_f64("n", Encoding::Chimp).unwrap();
+    db.create_series_f64("z", Encoding::Chimp).unwrap();
+    for i in 0..150i64 {
+        let v = if i % 10 == 0 { f64::NAN } else { i as f64 };
+        db.append_f64("n", i, v).unwrap();
+        db.append_f64("z", i, i as f64 * 0.5).unwrap();
+    }
+    db.flush().unwrap();
+    db.append_f64("n", 150, f64::NAN).unwrap(); // a hot NaN too
+    let nan = Value::Float(f64::NAN);
+    let cases: [(&str, Value); 15] = [
+        ("SELECT MAX(n) FROM n", Value::Float(149.0)),
+        ("SELECT MIN(n) FROM n", Value::Float(1.0)),
+        ("SELECT MAX(n) FROM n WHERE time <= 63", Value::Float(63.0)),
+        (
+            "SELECT MAX(n) FROM n WHERE time >= 140",
+            Value::Float(149.0),
+        ),
+        ("SELECT COUNT(n) FROM n", Value::Int(151)),
+        ("SELECT SUM(n) FROM n", nan),
+        ("SELECT AVG(n) FROM n WHERE time >= 100", nan),
+        (
+            "SELECT COUNT(n) FROM n WHERE n >= -1000000",
+            Value::Int(135),
+        ),
+        ("SELECT SUM(n) FROM n WHERE n <= 19", Value::Float(180.0)),
+        ("SELECT MAX(z) FROM z", Value::Float(74.5)),
+        ("SELECT MIN(z) FROM z WHERE time >= 64", Value::Float(32.0)),
+        // Strict comparisons exclude their literal, not the integer gap.
+        ("SELECT MIN(z) FROM z WHERE z > 20", Value::Float(20.5)),
+        ("SELECT MAX(z) FROM z WHERE z < 21", Value::Float(20.5)),
+        (
+            "SELECT COUNT(z) FROM z WHERE z > 20 AND z < 23",
+            Value::Int(5),
+        ),
+        (
+            "SELECT COUNT(z) FROM z WHERE z > 0 AND z >= 1",
+            Value::Int(148),
+        ),
+    ];
+    for cfg in canonical_configs() {
+        let db = IotDb::with_store(
+            db.store().clone(),
+            etsqp::EngineOptions {
+                pipeline: cfg,
+                ..Default::default()
+            },
+        );
+        for (q, want) in cases {
+            let got = db.query(q).unwrap_or_else(|e| panic!("{q}: {e}")).rows[0][0];
+            assert!(
+                value_eq(&got, &want, false),
+                "{q} [{}]: got {got:?}, want {want:?}",
+                cfg_label(&cfg)
+            );
+        }
+    }
+    // The header path is taken exactly where the bounds are values.
+    let explain = db.explain("SELECT MAX(n) FROM n").unwrap();
+    assert!(!explain.contains("header(min/max)"), "{explain}");
+    assert!(
+        explain.contains("tuples [ts=ts2diff, val=chimp] f64\n"),
+        "{explain}"
+    );
+    let explain = db.explain("SELECT MAX(z) FROM z").unwrap();
+    assert!(explain.contains("header(min/max)"), "{explain}");
+    // The pinned value-range rule through the API's float ranges.
+    let all = FloatRange {
+        lo: f64::NEG_INFINITY,
+        hi: f64::INFINITY,
+    };
+    let count = db.aggregate_f64("n", None, Some(all), AggFunc::Count);
+    assert_eq!(count.unwrap(), Some(135.0));
+
+    for q in [
+        "SELECT P50(n) FROM n",
+        "SELECT P95(n) FROM n GROUP BY TIME(50)",
+        "SELECT P99(z) FROM z",
+        "SELECT RATE(n) FROM n",
+        "SELECT DELTA(z) FROM z WHERE time >= 5",
+        "SELECT n.A + z.A FROM n, z",
+        "SELECT * FROM n UNION z ORDER BY TIME",
+        "SELECT * FROM z, n",
+        "SELECT DOT(n, z) FROM n, z",
+    ] {
+        match db.query(q) {
+            Err(e @ etsqp::core::Error::Plan(_)) => assert_eq!(e.exit_code(), 1, "{q}"),
+            other => panic!("{q}: expected a plan error, got {other:?}"),
+        }
+        let plan = sql::parse(q).unwrap();
+        assert!(
+            matches!(
+                oracle::execute(&plan, db.store()),
+                Err(etsqp::core::Error::Plan(_))
+            ),
+            "{q}: the oracle must refuse it too"
+        );
+    }
 }
 
 /// Block C: timestamp-codec sweep (value codec fixed to Ts2Diff) — the
@@ -528,7 +731,7 @@ fn corrupted_pages_abort_never_lie() {
             let got = execute(&healthy, &fx.store, cfg).expect("healthy series must still answer");
             let (ocols, orows) = oracle::execute(&healthy, &fx.store).unwrap();
             assert!(
-                got.columns == ocols && rows_eq(&got.rows, &orows),
+                got.columns == ocols && rows_eq(&got.rows, &orows, false),
                 "FAULT mutation={mname} cfg=[{}]: healthy series diverged",
                 cfg_label(cfg),
             );
@@ -620,7 +823,7 @@ fn quantile_sketches_stay_within_rank_bound() {
                             let r = execute(&plan, &store, cfg).unwrap();
                             let again = execute(&plan, &store, cfg).unwrap();
                             assert!(
-                                rows_eq(&r.rows, &again.rows),
+                                rows_eq(&r.rows, &again.rows, false),
                                 "{label}: cached re-run diverged from the first answer"
                             );
                             if windowed {

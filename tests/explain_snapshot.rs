@@ -1,5 +1,5 @@
 //! Snapshot tests for `EXPLAIN`: the rendered physical pipeline for the
-//! 23-query battery is pinned byte for byte against
+//! 24-query battery is pinned byte for byte against
 //! `tests/snapshots/explain.snap`, through both the library entry point
 //! (`IotDb::query` / `IotDb::explain`) and the `etsqp-cli` binary.
 //!
@@ -33,6 +33,12 @@ fn fixture() -> IotDb {
     for (name, vals) in [("snap_a", &a), ("snap_b", &b)] {
         db.create_series(name).unwrap();
         db.append_all(name, &ts, vals).unwrap();
+    }
+    db.create_series_f64("snap_f", etsqp::Encoding::Chimp)
+        .unwrap();
+    for (i, &t) in ts.iter().enumerate() {
+        db.append_f64("snap_f", t, 20.0 + (i % 13) as f64 * 0.25)
+            .unwrap();
     }
     db.flush().unwrap();
     db
@@ -74,6 +80,9 @@ fn battery() -> Vec<&'static str> {
         "SELECT RATE(A) FROM snap_a WHERE time >= 1750 AND time <= 3240",
         "SELECT DELTA(A) FROM snap_a SW(1000, 640)",
         "SELECT P99(A) FROM snap_a WHERE A >= 10 AND A <= 60",
+        // A float series: the value type renders on its source and the
+        // value bounds render as floats.
+        "SELECT MAX(snap_f) FROM snap_f WHERE time >= 1750 AND snap_f >= 21",
     ]
 }
 
