@@ -34,7 +34,7 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             pipeline: PipelineConfig::default(),
-            page_points: etsqp_storage::series::DEFAULT_PAGE_POINTS,
+            page_points: etsqp_storage::store::DEFAULT_PAGE_POINTS,
             ts_encoding: Encoding::Ts2Diff,
             val_encoding: Encoding::Ts2Diff,
             ingest_shards: etsqp_storage::ingest::DEFAULT_SHARDS,

@@ -18,10 +18,11 @@
 use etsqp_encoding::delta_rle::DeltaRlePage;
 use etsqp_encoding::stream_vbyte::SvbPage;
 use etsqp_encoding::ts2diff::Ts2DiffPage;
-use etsqp_simd::agg::AggState;
 use etsqp_simd::{svb, unpack};
 
 use crate::decode::{decode_svb, decode_ts2diff, DecodeOptions};
+use crate::expr::AggFunc;
+use crate::partial::{PartialState, Sums};
 use crate::{Error, Result};
 
 /// How many decoders the aggregation is fused across (Figure 14(a)).
@@ -37,59 +38,6 @@ pub enum FuseLevel {
     DeltaRepeat,
 }
 
-/// SUM over all values of a TS2DIFF (order-1) page without Delta decoding:
-/// `Σ v = n·v₀ + Σ_j (n−j)·(base + s_j)`.
-///
-/// ```
-/// use etsqp_core::{decode::DecodeOptions, fused::sum_ts2diff};
-/// let bytes = etsqp_encoding::ts2diff::encode(&[10, 20, 30, 40], 1);
-/// let page = etsqp_encoding::ts2diff::parse(&bytes).unwrap();
-/// let state = sum_ts2diff(&page, &DecodeOptions::default()).unwrap();
-/// assert_eq!(state.sum, 100);
-/// ```
-///
-/// Order-2 pages fall back to decode-then-sum (double accumulation makes
-/// the closed form cubic; the paper fuses single-Delta formats).
-pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
-    let mut state = AggState::new();
-    if page.count == 0 {
-        return Ok(state);
-    }
-    if page.order != 1 {
-        let mut out = Vec::new();
-        decode_ts2diff(page, opts, &mut out)?;
-        state.push_slice(&out);
-        return Ok(state);
-    }
-    let n = page.count as i128;
-    let m = page.num_deltas();
-    // Unpack the stored deltas (SIMD) — the only decoder we keep. Widths
-    // up to 64 bits occur whenever the delta spread exceeds 2³², so the
-    // 64-bit unpacker is required (unpack_u32 asserts width ≤ 32).
-    let mut stored = vec![0u64; m];
-    unpack::unpack_u64(page.payload, 0, page.width, &mut stored);
-    // Weighted sum Σ (m−j)·s_j with j zero-based over deltas: the delta at
-    // index j contributes to values j+1..count, i.e. (m − j) values.
-    let mut weighted: i128 = 0;
-    let mut plain_sum: i128 = 0;
-    for (j, &s) in stored.iter().enumerate() {
-        weighted += (m - j) as i128 * s as i128;
-        plain_sum += s as i128;
-    }
-    let base = page.min_delta as i128;
-    // Σ_j (m−j)·base = base · m(m+1)/2.
-    let tri = m as i128 * (m as i128 + 1) / 2;
-    state.sum = n * page.first[0] as i128 + base * tri + weighted;
-    state.count = page.count as u64;
-    // MIN/MAX/Σx² still require values; fused SUM/AVG/COUNT leave them
-    // unset. (Callers needing them decode — see FuseLevel::None.)
-    let _ = plain_sum;
-    state.min = None;
-    state.max = None;
-    state.sum_sq = 0;
-    Ok(state)
-}
-
 /// SUM over all values of a Stream VByte page without prefix summing:
 /// the quad-shuffle decode yields the zigzag'd deltas `δ_j` directly, and
 /// `Σ v = n·v₀ + Σ_j (n−1−j)·δ_j` (delta `j` connects value `j` to `j+1`,
@@ -100,22 +48,22 @@ pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggSt
 /// let bytes = etsqp_encoding::stream_vbyte::encode(&[10, 20, 30, 40]);
 /// let page = etsqp_encoding::stream_vbyte::parse(&bytes).unwrap();
 /// let state = sum_svb(&page, &DecodeOptions::default()).unwrap();
-/// assert_eq!(state.sum, 100);
+/// assert_eq!(state.sum_f64(), 100.0);
 /// ```
 ///
 /// Wide-mode pages (mode 1: some delta's zigzag exceeded 32 bits) fall
 /// back to decode-then-sum — the closed form needs every stored delta to
 /// be the exact difference, which only mode 0 pages written under the
 /// planner's `spread_fits_i64` gate guarantee.
-pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
-    let mut state = AggState::new();
+pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<PartialState> {
+    let mut state = PartialState::default();
     if page.count == 0 {
         return Ok(state);
     }
     if page.mode != 0 {
         let mut out = Vec::new();
         decode_svb(page, opts, &mut out)?;
-        state.push_slice(&out);
+        state.fold_slice(&out, AggFunc::Sum);
         return Ok(state);
     }
     let n = page.count as i128;
@@ -131,27 +79,47 @@ pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
         let d = etsqp_encoding::zigzag::decode_zigzag(z as u64) as i128;
         weighted += (m - j) as i128 * d;
     }
-    state.sum = n * page.first as i128 + weighted;
-    state.count = page.count as u64;
     // MIN/MAX/Σx² still require values; fused SUM/AVG/COUNT leave them
-    // unset, exactly like [`sum_ts2diff`].
-    Ok(state)
+    // unset, exactly like [`sum_ts2diff_range`].
+    Ok(PartialState {
+        count: page.count as u64,
+        sums: Sums::Int {
+            sum: n * page.first as i128 + weighted,
+            sum_sq: 0,
+        },
+        ..state
+    })
 }
 
 /// SUM over the value-index range `[a, b]` (inclusive) of a TS2DIFF
-/// (order-1) page without Delta decoding.
+/// (order-1) page without Delta decoding; the whole page is `[0, n−1]`.
 ///
 /// With `v_k = v₀ + Σ_{j<k} δ_j` (delta index `j` connects value `j` to
-/// `j+1`), the range sum expands to
+/// `j+1`, `δ_j = base + s_j`), the range sum expands to
 /// `(b−a+1)·v₀ + Σ_j w_j·δ_j` where delta `j` is counted once per covered
-/// value above it: `w_j = b − max(j+1, a) + 1` for `j < b`, else 0.
+/// value above it: `w_j = b − max(j+1, a) + 1` for `j < b`, else 0 — all
+/// `b−a+1` covered values for `j < a`, and `b − j` from `a` on. Over the
+/// whole page this is the `3X₀+3D₁+3D₂+2D₃+D₄+12·base` identity of
+/// Example 2.
+///
+/// ```
+/// use etsqp_core::{decode::DecodeOptions, fused::sum_ts2diff_range};
+/// let bytes = etsqp_encoding::ts2diff::encode(&[10, 20, 30, 40], 1);
+/// let page = etsqp_encoding::ts2diff::parse(&bytes).unwrap();
+/// let state = sum_ts2diff_range(&page, 0, 3, &DecodeOptions::default()).unwrap();
+/// assert_eq!(state.sum_f64(), 100.0);
+/// ```
+///
+/// Order-2 pages fall back to decode-then-sum (double accumulation makes
+/// the closed form cubic; the paper fuses single-Delta formats). MIN/MAX
+/// and Σx² still require values: the fused state leaves them unset.
 pub fn sum_ts2diff_range(
     page: &Ts2DiffPage<'_>,
     a: usize,
     b: usize,
     opts: &DecodeOptions,
-) -> Result<AggState> {
-    let mut state = AggState::new();
+) -> Result<PartialState> {
+    let mut state = PartialState::default();
     if page.count == 0 || a > b || a >= page.count {
         return Ok(state);
     }
@@ -159,55 +127,53 @@ pub fn sum_ts2diff_range(
     if page.order != 1 {
         let mut out = Vec::new();
         decode_ts2diff(page, opts, &mut out)?;
-        state.push_slice(&out[a..=b]);
+        state.fold_slice(&out[a..=b], AggFunc::Sum);
         return Ok(state);
     }
     let len = (b - a + 1) as i128;
-    let m = b; // deltas 0..b participate
-    let mut stored = vec![0u64; m];
+    // Deltas 0..b participate. Widths up to 64 bits occur whenever the
+    // delta spread exceeds 2³², so the 64-bit unpacker is required
+    // (unpack_u32 asserts width ≤ 32).
+    let mut stored = vec![0u64; b];
     unpack::unpack_u64(page.payload, 0, page.width, &mut stored);
-    let base = page.min_delta as i128;
-    let mut weighted: i128 = 0;
-    let mut weight_total: i128 = 0;
-    for (j, &s) in stored.iter().enumerate() {
-        // Delta j contributes to values max(j+1, a)..=b.
-        let w = (b - (j + 1).max(a) + 1) as i128;
-        weighted += w * s as i128;
-        weight_total = weight_total.saturating_add(w);
+    let (head, tail) = stored.split_at(a);
+    let head_sum: i128 = head.iter().map(|&s| i128::from(s)).sum();
+    let mut weighted = len * head_sum;
+    for (k, &s) in tail.iter().enumerate() {
+        weighted += (b - a - k) as i128 * i128::from(s);
     }
-    state.sum = len * page.first[0] as i128 + base * weight_total + weighted;
-    state.count = len as u64;
-    Ok(state)
+    // Σ_j w_j = a·(b−a+1) + (b−a)(b−a+1)/2.
+    let span = (b - a) as i128;
+    let weight_total = a as i128 * len + span * (span + 1) / 2;
+    let base = i128::from(page.min_delta);
+    Ok(PartialState {
+        count: len as u64,
+        sums: Sums::Int {
+            sum: len * i128::from(page.first[0]) + base * weight_total + weighted,
+            sum_sq: 0,
+        },
+        ..state
+    })
 }
 
 /// Full aggregate state over a Delta-RLE page without flattening or
 /// accumulation: SUM/COUNT/MIN/MAX/Σx² from `(Δ, run)` pairs.
-pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<AggState> {
-    let mut state = AggState::new();
+pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<PartialState> {
+    let mut state = PartialState::default();
     if page.count == 0 {
         return Ok(state);
     }
     state.push(page.first);
-    let mut a = page.first as i128; // running value a_n (Proposition 3 carry)
+    let mut a = i128::from(page.first); // running value a_n (Proposition 3 carry)
     for (delta, run) in page.pairs() {
-        let r = run as i128;
-        let d = delta as i128;
+        let r = i128::from(run);
+        let d = i128::from(delta);
         // Σ_{i=1..r} (a + iΔ) = r·a + Δ·r(r+1)/2. Hostile headers can
-        // push the carry far outside i64; saturate like sum_sq below
+        // push the carry far outside i64; saturate like Σ² below
         // instead of tripping debug overflow checks.
         let tri = r * (r + 1) / 2;
-        state.sum = state
-            .sum
-            .saturating_add(r.saturating_mul(a).saturating_add(d.saturating_mul(tri)));
         // Σ (a + iΔ)² = r·a² + 2aΔ·tri + Δ²·Σi² ; Σi² = r(r+1)(2r+1)/6.
-        // Second-order terms saturate like AggState::sum_sq does.
         let sq = r * (r + 1) * (2 * r + 1) / 6;
-        state.sum_sq = state.sum_sq.saturating_add(
-            r.saturating_mul(a.saturating_mul(a))
-                .saturating_add((2 * a).saturating_mul(d.saturating_mul(tri)))
-                .saturating_add(d.saturating_mul(d).saturating_mul(sq)),
-        );
-        state.count = state.count.saturating_add(run);
         // The run is monotonic: extremes are its endpoints.
         let end = a + d * r;
         let first_of_run = a + d;
@@ -216,10 +182,20 @@ pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<AggState> {
         } else {
             (end, first_of_run)
         };
-        let lo = i128_to_i64(lo)?;
-        let hi = i128_to_i64(hi)?;
-        state.min = Some(state.min.map_or(lo, |m| m.min(lo)));
-        state.max = Some(state.max.map_or(hi, |m| m.max(hi)));
+        // Each run is a partial of its own, merged in time order.
+        state.merge(&PartialState {
+            count: run,
+            sums: Sums::Int {
+                sum: r.saturating_mul(a).saturating_add(d.saturating_mul(tri)),
+                sum_sq: r
+                    .saturating_mul(a.saturating_mul(a))
+                    .saturating_add((2 * a).saturating_mul(d.saturating_mul(tri)))
+                    .saturating_add(d.saturating_mul(d).saturating_mul(sq)),
+            },
+            min: Some(i128_to_i64(lo)?),
+            max: Some(i128_to_i64(hi)?),
+            ..PartialState::default()
+        });
         a = end;
     }
     // `state.push(page.first)` above left `last` at the page's *first*
@@ -365,10 +341,27 @@ mod tests {
     use super::*;
     use etsqp_encoding::{delta_rle, stream_vbyte, ts2diff};
 
-    fn naive_state(values: &[i64]) -> AggState {
-        let mut s = AggState::new();
+    fn naive_state(values: &[i64]) -> PartialState {
+        let mut s = PartialState::default();
         values.iter().for_each(|&v| s.push(v));
         s
+    }
+
+    fn sum_of(s: &PartialState) -> i128 {
+        match s.sums {
+            Sums::Int { sum, .. } => sum,
+            Sums::Float { .. } => panic!("integer state expected"),
+        }
+    }
+
+    fn sum_whole_page(page: &Ts2DiffPage<'_>) -> PartialState {
+        sum_ts2diff_range(
+            page,
+            0,
+            page.count.saturating_sub(1),
+            &DecodeOptions::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -376,11 +369,11 @@ mod tests {
         let values: Vec<i64> = (0..1000).map(|i| 500 + i * 3 + (i % 17)).collect();
         let bytes = ts2diff::encode(&values, 1);
         let page = ts2diff::parse(&bytes).unwrap();
-        let fused = sum_ts2diff(&page, &DecodeOptions::default()).unwrap();
+        let fused = sum_whole_page(&page);
         let naive = naive_state(&values);
-        assert_eq!(fused.sum, naive.sum);
+        assert_eq!(sum_of(&fused), sum_of(&naive));
         assert_eq!(fused.count, naive.count);
-        assert_eq!(fused.avg(), naive.avg());
+        assert_eq!(fused.sum_f64(), naive.sum_f64());
     }
 
     #[test]
@@ -390,8 +383,8 @@ mod tests {
         let values = vec![12i64, 76, 142, 205];
         let bytes = ts2diff::encode(&values, 1);
         let page = ts2diff::parse(&bytes).unwrap();
-        let fused = sum_ts2diff(&page, &DecodeOptions::default()).unwrap();
-        assert_eq!(fused.sum, (12 + 76 + 142 + 205) as i128);
+        let fused = sum_whole_page(&page);
+        assert_eq!(sum_of(&fused), (12 + 76 + 142 + 205) as i128);
     }
 
     #[test]
@@ -404,8 +397,11 @@ mod tests {
         ] {
             let bytes = ts2diff::encode(&values, 1);
             let page = ts2diff::parse(&bytes).unwrap();
-            let fused = sum_ts2diff(&page, &DecodeOptions::default()).unwrap();
-            assert_eq!(fused.sum, values.iter().map(|&v| v as i128).sum::<i128>());
+            let fused = sum_whole_page(&page);
+            assert_eq!(
+                sum_of(&fused),
+                values.iter().map(|&v| v as i128).sum::<i128>()
+            );
         }
     }
 
@@ -419,9 +415,9 @@ mod tests {
         assert_eq!(page.mode, 0);
         let fused = sum_svb(&page, &DecodeOptions::default()).unwrap();
         let naive = naive_state(&values);
-        assert_eq!(fused.sum, naive.sum);
+        assert_eq!(sum_of(&fused), sum_of(&naive));
         assert_eq!(fused.count, naive.count);
-        assert_eq!(fused.avg(), naive.avg());
+        assert_eq!(fused.sum_f64(), naive.sum_f64());
     }
 
     #[test]
@@ -436,7 +432,10 @@ mod tests {
             let bytes = stream_vbyte::encode(&values);
             let page = stream_vbyte::parse(&bytes).unwrap();
             let fused = sum_svb(&page, &DecodeOptions::default()).unwrap();
-            assert_eq!(fused.sum, values.iter().map(|&v| v as i128).sum::<i128>());
+            assert_eq!(
+                sum_of(&fused),
+                values.iter().map(|&v| v as i128).sum::<i128>()
+            );
             assert_eq!(fused.count, values.len() as u64);
         }
     }
@@ -449,7 +448,10 @@ mod tests {
         let page = stream_vbyte::parse(&bytes).unwrap();
         assert_eq!(page.mode, 1);
         let fused = sum_svb(&page, &DecodeOptions::default()).unwrap();
-        assert_eq!(fused.sum, values.iter().map(|&v| v as i128).sum::<i128>());
+        assert_eq!(
+            sum_of(&fused),
+            values.iter().map(|&v| v as i128).sum::<i128>()
+        );
         assert_eq!(fused.count, values.len() as u64);
     }
 
@@ -470,7 +472,7 @@ mod tests {
             let got = sum_ts2diff_range(&page, a, b, &DecodeOptions::default()).unwrap();
             let hi = b.min(values.len() - 1);
             let want: i128 = values[a..=hi].iter().map(|&v| v as i128).sum();
-            assert_eq!(got.sum, want, "range [{a}, {b}]");
+            assert_eq!(sum_of(&got), want, "range [{a}, {b}]");
             assert_eq!(got.count, (hi - a + 1) as u64);
         }
         // Degenerate: a beyond the page.
@@ -493,8 +495,8 @@ mod tests {
         let page = delta_rle::parse(&bytes).unwrap();
         let fused = aggregate_delta_rle(&page).unwrap();
         let naive = naive_state(&values);
-        assert_eq!(fused.sum, naive.sum);
-        assert_eq!(fused.sum_sq, naive.sum_sq);
+        assert_eq!(sum_of(&fused), sum_of(&naive));
+        assert_eq!(fused.sums, naive.sums);
         assert_eq!(fused.count, naive.count);
         assert_eq!(fused.min, naive.min);
         assert_eq!(fused.max, naive.max);

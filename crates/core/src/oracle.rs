@@ -10,7 +10,7 @@
 //!   ([`Page::decode`], or [`Page::decode_f64`] on float series); no page
 //!   pruning, no suffix pruning, no fusion, no slicing, no threads;
 //! * filters are evaluated per tuple, in time order;
-//! * aggregates accumulate in `i128` ([`AggState`] / [`PairMoments`]),
+//! * aggregates accumulate in `i128` ([`PartialState`] / [`PairMoments`]),
 //!   so no intermediate result ever wraps; float series fold naively in
 //!   `f64`, in time order.
 //!
@@ -23,11 +23,10 @@
 
 use std::collections::BTreeMap;
 
-use etsqp_simd::agg::AggState;
-use etsqp_storage::ingest::HotSnapshot;
+use etsqp_encoding::ordered_i64_to_f64;
 use etsqp_storage::store::{SeriesSnapshot, SeriesStore};
 
-use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow};
+use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow, ValueType};
 use crate::partial::PartialState;
 use crate::plan::{finalize, finalize_pair, flatten_scan, PairMoments, Value};
 use crate::{Error, Result};
@@ -117,7 +116,7 @@ fn scan_tuples(
         let (ts, vals) = page.decode()?;
         keep(&ts, &vals);
     }
-    if let Some(HotSnapshot::Int(h)) = snap.hot {
+    if let Some(h) = snap.hot {
         keep(&h.ts, &h.vals);
     }
     Ok(out)
@@ -131,7 +130,7 @@ fn scan_tuples(
 ///   compares by rank within [`crate::partial::TDigest::rank_error_bound`].
 /// * `RATE`/`DELTA` use the same `i128` first/last formulas as
 ///   [`finalize`], so they compare bit-exact.
-/// * Everything else accumulates through [`AggState`] and shares
+/// * Everything else accumulates through [`PartialState`] and shares
 ///   [`finalize`]'s widening rules with the engine.
 pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
     if vals.is_empty() {
@@ -161,24 +160,25 @@ pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
                 .unwrap_or(Value::Float(dv as f64))
         }
         _ => {
-            let mut state = AggState::new();
+            let mut state = PartialState::new(func, ValueType::I64);
             for &v in vals {
                 state.push(v);
             }
-            finalize(func, &PartialState::from(state))
+            finalize(func, &state)
         }
     }
 }
 
 /// Whether a snapshot holds float values.
 fn is_float(snap: &SeriesSnapshot) -> bool {
-    matches!(snap.hot, Some(HotSnapshot::Float(_)))
+    snap.hot.iter().any(|h| h.val_encoding.is_float())
         || snap.pages.iter().any(|p| p.header.val_encoding.is_float())
 }
 
 /// A unary plan: the rows of a (filtered) scan, or its aggregate, whole
 /// or per window. Float series decode through `Page::decode_f64` plus
-/// the hot float snapshot; their integer value bounds compare as `f64`
+/// the hot chunk's images mapped back to `f64`; their integer value
+/// bounds compare as `f64`
 /// (`i64::MIN`/`i64::MAX` unbounded, a strict bound excluding its
 /// literal), NaN lies in no value range, and
 /// quantiles and rate/delta are a typed [`Error::Plan`], as in the
@@ -216,8 +216,11 @@ fn unary(
     for page in &snap.pages {
         columns.push(page.decode_f64()?);
     }
-    if let Some(HotSnapshot::Float(h)) = snap.hot {
-        columns.push((h.ts.to_vec(), h.vals.to_vec()));
+    // The hot chunk buffers ordered-i64 images; the inverse map is a
+    // bijection on bits, so NaN payloads and -0.0 come back intact.
+    if let Some(h) = snap.hot {
+        let vals = h.vals.iter().map(|&v| ordered_i64_to_f64(v)).collect();
+        columns.push((h.ts.to_vec(), vals));
     }
     // A strict bound was normalized from `> lo - 1` / `< hi + 1`.
     let (strict_lo, strict_hi) = pred.strict;

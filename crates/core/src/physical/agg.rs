@@ -1,6 +1,7 @@
 //! Aggregation operator bodies: per-page pipelines (`FusedAgg`,
-//! `DecodeScan → Filter → PartialAgg`), the §III-C symbolic slice
-//! partials, and the SIMD fold kernels they share.
+//! `DecodeScan → Filter → PartialAgg`) and the §III-C symbolic slice
+//! partials, all resolving into [`PartialState`]s (whose methods are the
+//! SIMD folds).
 //!
 //! The strategy a page runs is no longer chosen here: the `Pipe` planner
 //! ([`crate::physical::pipe`]) picks a [`Strategy`] per page from header
@@ -10,15 +11,14 @@
 //! handles).
 
 use etsqp_encoding::{delta_rle, stream_vbyte, ts2diff, Encoding};
-use etsqp_simd::agg::AggState;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
 use crate::decode::decode_page;
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange, ValueType, NON_NAN_IMAGES};
-use crate::fused::{aggregate_delta_rle, sum_svb, sum_ts2diff, sum_ts2diff_range, FuseLevel};
-use crate::partial::{CacheKey, PartialCache, PartialState};
+use crate::fused::{aggregate_delta_rle, sum_svb, sum_ts2diff_range, FuseLevel};
+use crate::partial::{CacheKey, PartialCache, PartialState, Sums};
 use crate::physical::node::{Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
 use crate::physical::window::{constant_positions, whole_page_bucket, window_index_ranges};
@@ -79,119 +79,6 @@ pub(crate) fn fusion_covers(func: AggFunc, val_enc: Encoding, fuse: FuseLevel) -
     }
 }
 
-/// Folds a dense slice into the state, computing only what `func` needs
-/// (Σx² is expensive and only VARIANCE reads it; MIN/MAX skip sums).
-pub(crate) fn agg_slice(state: &mut AggState, slice: &[i64], func: AggFunc) {
-    if slice.is_empty() {
-        return;
-    }
-    match func {
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-            state.sum += etsqp_simd::agg::sum_i64(slice);
-            state.count += slice.len() as u64;
-        }
-        AggFunc::Min | AggFunc::Max => {
-            if let Some((mn, mx)) = etsqp_simd::agg::min_max_i64(slice) {
-                state.min = Some(state.min.map_or(mn, |m| m.min(mn)));
-                state.max = Some(state.max.map_or(mx, |m| m.max(mx)));
-            }
-            state.count += slice.len() as u64;
-        }
-        AggFunc::Variance => state.push_slice(slice),
-        AggFunc::First | AggFunc::Last => {
-            state.first.get_or_insert(slice[0]);
-            state.last = slice.last().copied().or(state.last);
-            state.count += slice.len() as u64;
-        }
-        // Partial-only aggregates take the tuple-level path (they need
-        // timestamps and/or a sketch); fold the exact moments anyway so
-        // a planner slip degrades to a sound superset, never silence.
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 | AggFunc::Rate | AggFunc::Delta => {
-            state.push_slice(slice)
-        }
-    }
-}
-
-/// Mask-filtered variant of [`agg_slice`].
-pub(crate) fn agg_masked(state: &mut AggState, slice: &[i64], mask: &[u64], func: AggFunc) {
-    match func {
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-            let (s, c) = etsqp_simd::agg::masked_sum_i64(slice, mask);
-            state.sum += s;
-            state.count += c;
-        }
-        AggFunc::Min | AggFunc::Max => {
-            if let Some((mn, mx)) = etsqp_simd::agg::masked_min_max_i64(slice, mask) {
-                state.min = Some(state.min.map_or(mn, |m| m.min(mn)));
-                state.max = Some(state.max.map_or(mx, |m| m.max(mx)));
-            }
-            state.count += etsqp_simd::filter::count_mask(mask, slice.len());
-        }
-        AggFunc::Variance => state.push_masked(slice, mask),
-        AggFunc::First | AggFunc::Last => {
-            for (i, &v) in slice.iter().enumerate() {
-                if mask[i / 64] & (1u64 << (i % 64)) != 0 {
-                    state.first.get_or_insert(v);
-                    state.last = Some(v);
-                    state.count += 1;
-                }
-            }
-        }
-        // See agg_slice: unreachable for partial-only aggregates.
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 | AggFunc::Rate | AggFunc::Delta => {
-            state.push_masked(slice, mask)
-        }
-    }
-}
-
-/// Folds one run of decoded values under the optional value range — the
-/// `Filter → PartialAgg` tail of the decode pipeline. Integer runs and
-/// float COUNT/MIN/MAX/FIRST/LAST use the SIMD kernels on the i64 column
-/// (float MIN/MAX masked to non-NaN images); float Σ/Σ² fold in `f64`.
-fn fold_run(
-    slice: &[i64],
-    mut value: Option<(i64, i64)>,
-    func: AggFunc,
-    ty: ValueType,
-) -> PartialState {
-    if ty == ValueType::F64 {
-        match func {
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Variance => {
-                let mut state = typed(AggState::new(), ty);
-                for &v in slice {
-                    if value.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
-                        state.push_ordered(v);
-                    }
-                }
-                return state;
-            }
-            // A float value range is already clamped to non-NaN images.
-            AggFunc::Min | AggFunc::Max => value = value.or(Some(NON_NAN_IMAGES)),
-            _ => {}
-        }
-    }
-    let mut state = AggState::new();
-    match value {
-        None => agg_slice(&mut state, slice, func),
-        Some((vlo, vhi)) => {
-            let mut mask = etsqp_simd::filter::new_mask(slice.len());
-            etsqp_simd::filter::range_mask_i64(slice, vlo, vhi, &mut mask);
-            agg_masked(&mut state, slice, &mask, func);
-        }
-    }
-    typed(state, ty)
-}
-
-/// A partial over exact moments, marked as a float source's when `ty`
-/// is [`ValueType::F64`] (so [`crate::plan::finalize`] answers in
-/// floats).
-fn typed(agg: AggState, ty: ValueType) -> PartialState {
-    PartialState {
-        float: (ty == ValueType::F64).then(Default::default),
-        ..agg.into()
-    }
-}
-
 /// Symbolic partial of a slice over a TS2DIFF value column: every term is
 /// expressed relative to the unknown slice-start value `v_pre`, so slice
 /// jobs never wait on each other's prefix sums (§III-C / Fig. 14(c)).
@@ -218,26 +105,29 @@ pub(crate) struct SliceCoeff {
 impl SliceCoeff {
     /// Resolves the symbolic partial against the now-known `v_pre` and
     /// folds it into `state` — the prefix-stitching merge node.
-    pub(crate) fn fold_into(&self, state: &mut AggState, v_pre: i128) {
+    pub(crate) fn fold_into(&self, state: &mut PartialState, v_pre: i128) {
         if self.len == 0 {
             return;
         }
-        let n = self.len as i128;
-        state.sum += n * v_pre + self.rel_sum;
-        state.sum_sq = state.sum_sq.saturating_add(
-            n.saturating_mul(v_pre.saturating_mul(v_pre))
-                .saturating_add((2 * v_pre).saturating_mul(self.rel_sum))
-                .saturating_add(self.rel_sq),
-        );
-        state.count += self.len;
-        let lo = (v_pre + self.rel_min as i128) as i64;
-        let hi = (v_pre + self.rel_max as i128) as i64;
-        state.min = Some(state.min.map_or(lo, |m| m.min(lo)));
-        state.max = Some(state.max.map_or(hi, |m| m.max(hi)));
-        state
-            .first
-            .get_or_insert((v_pre + self.rel_first as i128) as i64);
-        state.last = Some((v_pre + self.delta_total as i128) as i64);
+        let n = i128::from(self.len);
+        // Sliced pages pass `spread_fits_i64`, so every resolved value
+        // is an i64.
+        let value = |rel: i64| Some((v_pre + i128::from(rel)) as i64);
+        state.merge(&PartialState {
+            count: self.len,
+            sums: Sums::Int {
+                sum: n.saturating_mul(v_pre).saturating_add(self.rel_sum),
+                sum_sq: n
+                    .saturating_mul(v_pre.saturating_mul(v_pre))
+                    .saturating_add((2 * v_pre).saturating_mul(self.rel_sum))
+                    .saturating_add(self.rel_sq),
+            },
+            min: value(self.rel_min),
+            max: value(self.rel_max),
+            first: value(self.rel_first),
+            last: value(self.delta_total),
+            ..PartialState::default()
+        });
     }
 }
 
@@ -288,7 +178,7 @@ pub(crate) fn slice_coeff_job(
     };
     let mut rel: i64 = 0;
     let push = |r: i64, c: &mut SliceCoeff| {
-        c.len += 1;
+        c.len = c.len.saturating_add(1);
         c.rel_sum += r as i128;
         c.rel_sq = c.rel_sq.saturating_add((r as i128) * (r as i128));
         if c.len == 1 {
@@ -355,7 +245,7 @@ pub(crate) fn agg_page_job(
             stats
                 .cache_hits
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if state.agg.count == 0 {
+            if state.count == 0 {
                 return Ok(Vec::new());
             }
             return Ok(vec![(*k, state)]);
@@ -372,7 +262,7 @@ pub(crate) fn agg_page_job(
         let state = out
             .first()
             .map(|(_, s)| s.clone())
-            .unwrap_or_else(|| PartialState::new(func));
+            .unwrap_or_else(|| PartialState::new(func, ValueType::of(page.header.val_encoding)));
         PartialCache::global().insert(key, state);
     }
     Ok(out)
@@ -433,12 +323,8 @@ fn agg_page_states(
         Strategy::FusedTs2Diff if window.is_none() => {
             let parsed = ts2diff::parse(&page.val_bytes)?;
             let _a = Stage::Agg.timer(stats);
-            let state = if a == 0 && b + 1 == count {
-                sum_ts2diff(&parsed, &cfg.decode)?
-            } else {
-                sum_ts2diff_range(&parsed, a, b, &cfg.decode)?
-            };
-            return Ok(vec![(0, state.into())]);
+            let state = sum_ts2diff_range(&parsed, a, b, &cfg.decode)?;
+            return Ok(vec![(0, state)]);
         }
         // Delta-RLE fusion, SVB fusion and header MIN/MAX are whole-page
         // forms; the planner chose them from exact header bounds (for a
@@ -449,23 +335,25 @@ fn agg_page_states(
             if let Some(k) = whole_page_bucket(page, window) {
                 let parsed = delta_rle::parse(&page.val_bytes)?;
                 let _a = Stage::Agg.timer(stats);
-                return Ok(vec![(k, aggregate_delta_rle(&parsed)?.into())]);
+                return Ok(vec![(k, aggregate_delta_rle(&parsed)?)]);
             }
         }
         Strategy::FusedSvb if a == 0 && b + 1 == count => {
             if let Some(k) = whole_page_bucket(page, window) {
                 let parsed = stream_vbyte::parse(&page.val_bytes)?;
                 let _a = Stage::Agg.timer(stats);
-                return Ok(vec![(k, sum_svb(&parsed, &cfg.decode)?.into())]);
+                return Ok(vec![(k, sum_svb(&parsed, &cfg.decode)?)]);
             }
         }
         Strategy::HeaderMinMax if a == 0 && b + 1 == count => {
             if let Some(k) = whole_page_bucket(page, window) {
-                let mut s = AggState::new();
-                s.count = count as u64;
-                s.min = Some(page.header.min_value);
-                s.max = Some(page.header.max_value);
-                return Ok(vec![(k, typed(s, ValueType::of(page.header.val_encoding)))]);
+                let state = PartialState {
+                    count: count as u64,
+                    min: Some(page.header.min_value),
+                    max: Some(page.header.max_value),
+                    ..PartialState::new(func, ValueType::of(page.header.val_encoding))
+                };
+                return Ok(vec![(k, state)]);
             }
         }
         // Windowed fused path: resolve each window's index subrange
@@ -481,13 +369,9 @@ fn agg_page_states(
             let _a = Stage::Agg.timer(stats);
             let mut out: WindowStates = Vec::with_capacity(ranges.len());
             for (k, i, j) in ranges {
-                let state = if i == 0 && j + 1 == count {
-                    sum_ts2diff(&parsed, &cfg.decode)?
-                } else {
-                    sum_ts2diff_range(&parsed, i, j, &cfg.decode)?
-                };
+                let state = sum_ts2diff_range(&parsed, i, j, &cfg.decode)?;
                 if state.count > 0 {
-                    out.push((k, state.into()));
+                    out.push((k, state));
                 }
             }
             return Ok(out);
@@ -533,8 +417,9 @@ fn agg_page_states(
     let mut out: WindowStates = Vec::new();
     match window {
         None => {
-            let state = fold_run(&vals[a..=b.min(vals.len() - 1)], pred.value, func, ty);
-            if state.agg.count > 0 {
+            let mut state = PartialState::new(func, ty);
+            state.fold_run(&vals[a..=b.min(vals.len() - 1)], pred.value, func);
+            if state.count > 0 {
                 out.push((0, state));
             }
         }
@@ -544,25 +429,24 @@ fn agg_page_states(
             let mut i = a;
             let hi = b.min(vals.len() - 1);
             while i <= hi {
-                let Some(k) = w.window_of(ts[i]) else {
-                    i += 1;
-                    continue;
-                };
-                let wrange = w.range(k).intersect(&trange);
-                // End of this window's run of indices.
-                let mut j = i;
-                while j <= hi && wrange.contains(ts[j]) {
-                    j += 1;
-                }
-                if j > i {
-                    let state = fold_run(&vals[i..j], pred.value, func, ty);
-                    if state.agg.count > 0 {
+                // This window's run of indices is [i, j); an index in no
+                // window, or outside the time filter, is skipped.
+                let k = w.window_of(ts[i]);
+                let j = k.map_or(i, |k| {
+                    let wrange = w.range(k).intersect(&trange);
+                    i + ts[i..=hi]
+                        .iter()
+                        .take_while(|&&t| wrange.contains(t))
+                        .count()
+                });
+                if let (Some(k), true) = (k, j > i) {
+                    let mut state = PartialState::new(func, ty);
+                    state.fold_run(&vals[i..j], pred.value, func);
+                    if state.count > 0 {
                         out.push((k, state));
                     }
-                    i = j;
-                } else {
-                    i += 1;
                 }
+                i = j.max(i + 1);
             }
         }
     }
@@ -611,7 +495,7 @@ fn fold_tuples(
         if let (true, Some(k)) = (qualifies, k) {
             windows
                 .entry(k)
-                .or_insert_with(|| PartialState::for_source(func, ty))
+                .or_insert_with(|| PartialState::new(func, ty))
                 .push_tv(t, v);
         }
     }

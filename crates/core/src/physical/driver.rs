@@ -44,7 +44,7 @@ pub(crate) fn run(
             // merges exact per the PartialState::merge contract.
             let state = aggregate_pipeline(store, p, None, *func, cfg, stats, ctl)?
                 .into_iter()
-                .fold(PartialState::new(*func), |mut acc, (_, s)| {
+                .fold(PartialState::new(*func, p.val_type), |mut acc, (_, s)| {
                     acc.merge(&s);
                     acc
                 });
@@ -99,9 +99,9 @@ pub(crate) fn run(
             let (l, r) = (&phys.pipelines[0], &phys.pipelines[1]);
             let rows = binary_merge_partitioned(
                 store,
-                &l.pages,
+                &kept_of(l, stats)?,
                 &l.pred,
-                &r.pages,
+                &kept_of(r, stats)?,
                 &r.pred,
                 partitions,
                 BinaryKind::Union,
@@ -115,9 +115,9 @@ pub(crate) fn run(
             let (l, r) = (&phys.pipelines[0], &phys.pipelines[1]);
             let rows = binary_merge_partitioned(
                 store,
-                &l.pages,
+                &kept_of(l, stats)?,
                 &l.pred,
-                &r.pages,
+                &kept_of(r, stats)?,
                 &r.pred,
                 partitions,
                 BinaryKind::Join { op: *op, on: *on },
@@ -308,8 +308,7 @@ fn aggregate_pipeline(
                     }
                     // Slices only exist for non-partial-only aggregates;
                     // the coefficients resolve into the exact moments.
-                    let state = windows.entry(0).or_default();
-                    coeff.fold_into(&mut state.agg, v_pre);
+                    coeff.fold_into(windows.entry(0).or_default(), v_pre);
                     v_pre += coeff.delta_total as i128;
                 }
             }
@@ -323,7 +322,7 @@ fn aggregate_pipeline(
         if hot.verdict.kept() {
             let (hts, hvals) = hot_rows(hot, pred, stats);
             let _a = crate::physical::node::Stage::Agg.timer(stats);
-            let fresh = || PartialState::for_source(func, pipeline.val_type);
+            let fresh = || PartialState::new(func, pipeline.val_type);
             match window {
                 None => {
                     let state = windows.entry(0).or_insert_with(fresh);

@@ -19,7 +19,7 @@ use crate::exec::{run_jobs_ctl, ExecStats};
 use crate::expr::{BinOp, CmpOp, Predicate, TimeRange};
 use crate::fused::{aggregate_delta_rle, dot_product_delta_rle};
 use crate::physical::node::Stage;
-use crate::physical::scan::{charge_page_io, prune_pages, scan_rows};
+use crate::physical::scan::{charge_page_io, scan_rows};
 use crate::plan::{PairMoments, PipelineConfig, Value};
 use crate::{Error, Result};
 
@@ -67,10 +67,12 @@ pub(crate) fn merge_partitions(
     ranges
 }
 
-/// Executes `Union` / `Join` / `JoinExpr` over the planner's partitions:
-/// every partition decodes both sides restricted to its range (page
-/// pruning keeps out-of-range pages untouched) and merges independently;
-/// partials concatenate in time order.
+/// Executes `Union` / `Join` / `JoinExpr` over the planner's partitions.
+/// `left` and `right` are the pages the planner's §V verdicts kept (the
+/// driver charged and checksum-verified the pruned ones once); every
+/// partition decodes the kept pages overlapping its range, filters both
+/// sides to it and merges independently; partials concatenate in time
+/// order.
 // Two (pages, predicate) pairs plus execution context; bundling them
 // into a struct would add a type used exactly once.
 #[allow(clippy::too_many_arguments)]
@@ -97,10 +99,8 @@ pub(crate) fn binary_merge_partitioned(
         |range| -> Result<Vec<Vec<Value>>> {
             let lp = lpred.and(&Predicate::time(range.lo, range.hi));
             let rp = rpred.and(&Predicate::time(range.lo, range.hi));
-            let lkept = prune_pages(left.to_vec(), &lp, &inner_cfg, stats)?;
-            let rkept = prune_pages(right.to_vec(), &rp, &inner_cfg, stats)?;
-            let (lt, lv) = scan_rows(store, lkept, &lp, &inner_cfg, stats, ctl)?;
-            let (rt, rv) = scan_rows(store, rkept, &rp, &inner_cfg, stats, ctl)?;
+            let (lt, lv) = scan_rows(store, in_range(left, range), &lp, &inner_cfg, stats, ctl)?;
+            let (rt, rv) = scan_rows(store, in_range(right, range), &rp, &inner_cfg, stats, ctl)?;
             let _m = Stage::Merge.timer(stats);
             let rows = match kind {
                 BinaryKind::Union => merge_union(&lt, &lv, &rt, &rv),
@@ -114,6 +114,19 @@ pub(crate) fn binary_merge_partitioned(
         rows.extend(out?);
     }
     Ok(rows)
+}
+
+/// The pages a partition decodes: those whose header time range meets
+/// `range`, and those whose first timestamp lies in it. The partitions
+/// tile the whole i64 time line, so the second rule puts every page —
+/// even one whose header lies about an inverted range — in at least one
+/// partition, where it is checksum-verified before it is decoded.
+fn in_range(pages: &[Arc<Page>], range: TimeRange) -> Vec<Arc<Page>> {
+    pages
+        .iter()
+        .filter(|p| range.contains(p.header.first_ts) || p.header.overlaps_time(range.lo, range.hi))
+        .cloned()
+        .collect()
 }
 
 /// Time-ordered merge of two sorted series (Q5). Ties emit left first.
@@ -228,13 +241,8 @@ pub(crate) fn fused_pair_aggregate(
         let pa = delta_rle::parse(&a.val_bytes)?;
         let pb = delta_rle::parse(&b.val_bytes)?;
         m.sum_ab = m.sum_ab.saturating_add(dot_product_delta_rle(&pa, &pb)?);
-        let sa = aggregate_delta_rle(&pa)?;
-        let sb = aggregate_delta_rle(&pb)?;
-        m.n += sa.count;
-        m.sum_a += sa.sum;
-        m.sum_b += sb.sum;
-        m.sum_aa = m.sum_aa.saturating_add(sa.sum_sq);
-        m.sum_bb = m.sum_bb.saturating_add(sb.sum_sq);
+        m.a.merge(&aggregate_delta_rle(&pa)?);
+        m.b.merge(&aggregate_delta_rle(&pb)?);
     }
     Ok(m)
 }

@@ -10,8 +10,7 @@
 
 use std::sync::Arc;
 
-use etsqp_encoding::{f64_to_ordered_i64, Encoding};
-use etsqp_storage::ingest::HotSnapshot;
+use etsqp_encoding::Encoding;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::{SeriesSnapshot, SeriesStore};
 
@@ -53,7 +52,7 @@ enum Role {
 /// A series' value type, read from its value codecs (an empty series
 /// reads as integers).
 fn value_type(snap: &SeriesSnapshot) -> ValueType {
-    let float = matches!(snap.hot, Some(HotSnapshot::Float(_)))
+    let float = snap.hot.iter().any(|h| h.val_encoding.is_float())
         || snap.pages.iter().any(|p| p.header.val_encoding.is_float());
     if float {
         ValueType::F64
@@ -101,19 +100,10 @@ fn unary_source(
         }
         (ValueType::I64, _) => pred,
     };
-    let hot = snap.hot.map(|hot| {
-        let (ts, vals, min_value, max_value) = match hot {
-            HotSnapshot::Int(h) => (h.ts, h.vals, h.min_value, h.max_value),
-            HotSnapshot::Float(h) => {
-                let vals = h.vals.iter().map(|&v| f64_to_ordered_i64(v)).collect();
-                (h.ts, Arc::new(vals), h.min_value, h.max_value)
-            }
-        };
-        HotScan {
-            verdict: hot_verdict(&ts, min_value, max_value, &pred, cfg.prune),
-            ts,
-            vals,
-        }
+    let hot = snap.hot.map(|h| HotScan {
+        verdict: hot_verdict(&h.ts, h.min_value, h.max_value, &pred, cfg.prune),
+        ts: h.ts,
+        vals: h.vals,
     });
     Ok((snap.pages, hot, val_type, pred))
 }
@@ -133,7 +123,7 @@ fn pages_with_hot(store: &SeriesStore, series: &str, pred: Predicate) -> Result<
         )));
     }
     let mut pages = snap.pages;
-    if let Some(HotSnapshot::Int(h)) = snap.hot {
+    if let Some(h) = snap.hot {
         pages.push(Arc::new(h.to_page().map_err(Error::Storage)?));
     }
     Ok((pages, None, ValueType::I64, pred))

@@ -2,10 +2,11 @@
 //! decode (with suffix pruning under value filters), and the
 //! row-producing page scan.
 //!
-//! Both the `Pipe` planner ([`crate::physical::pipe`]) and the runtime
-//! partition scans of binary operators ([`crate::physical::merge`]) go
-//! through [`page_verdict`], so the pruning decision rendered by
-//! `EXPLAIN` is by construction the one the executor acts on.
+//! The `Pipe` planner ([`crate::physical::pipe`]) is the only caller of
+//! [`page_verdict`]; the driver and the partitioned merge nodes
+//! ([`crate::physical::merge`]) execute its recorded verdicts, so the
+//! pruning decision rendered by `EXPLAIN` is by construction the one the
+//! executor acts on, and each pruned page is charged once.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -130,27 +131,6 @@ pub(crate) fn verify_pruned(page: &Page) -> Result<()> {
     page.verify().map_err(Error::Storage)
 }
 
-/// Applies [`page_verdict`] to a page list, charging pruned pages/tuples
-/// to `stats` and returning the survivors. Excluded pages are
-/// checksum-verified first (see [`verify_pruned`]).
-pub(crate) fn prune_pages(
-    pages: Vec<Arc<Page>>,
-    pred: &Predicate,
-    cfg: &PipelineConfig,
-    stats: &ExecStats,
-) -> Result<Vec<Arc<Page>>> {
-    let mut kept = Vec::with_capacity(pages.len());
-    for page in pages {
-        if page_verdict(&page, pred, cfg.prune).kept() {
-            kept.push(page);
-        } else {
-            verify_pruned(&page)?;
-            charge_pruned_page(&page, stats);
-        }
-    }
-    Ok(kept)
-}
-
 /// Charges one pruned page to the §VII-B throughput counters.
 pub(crate) fn charge_pruned_page(page: &Page, stats: &ExecStats) {
     stats.pages_pruned.fetch_add(1, Ordering::Relaxed);
@@ -270,7 +250,7 @@ pub(crate) fn decode_val_column(
 /// Decodes the qualifying rows of a pre-pruned page set — the
 /// `SourcePages → DecodeScan → Filter → MergeConcat` pipeline of
 /// row-producing plans. The caller picks the kept pages (planner
-/// decisions for unary scans, per-partition pruning for merge nodes).
+/// decisions, restricted to one time range by the merge nodes).
 pub(crate) fn scan_rows(
     store: &SeriesStore,
     kept: Vec<Arc<Page>>,

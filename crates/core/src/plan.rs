@@ -18,7 +18,7 @@ use crate::decode::DecodeOptions;
 use crate::exec::{ExecStats, StatsSnapshot};
 use crate::expr::{AggFunc, PairAggFunc, Plan, Predicate};
 use crate::fused::FuseLevel;
-use crate::partial::PartialState;
+use crate::partial::{PartialState, Sums};
 use crate::physical::{driver, pipe};
 use crate::{Error, Result};
 
@@ -135,63 +135,46 @@ pub fn execute_ctl(
 }
 
 /// Running second-order moments of naturally joined pairs (§IV: the
-/// quantities behind dot products, covariance and correlation).
-#[derive(Debug, Default, Clone, Copy)]
+/// quantities behind dot products, covariance and correlation): Σ a·b
+/// next to the two marginals, each a [`PartialState`].
+#[derive(Debug, Default, Clone)]
 pub struct PairMoments {
-    /// Matched tuple count.
-    pub n: u64,
-    /// Σ a.
-    pub sum_a: i128,
-    /// Σ b.
-    pub sum_b: i128,
-    /// Σ a·b. Like [`etsqp_simd::agg::AggState::sum_sq`], the second-order moments
-    /// saturate at the `i128` limits rather than wrapping.
+    /// Σ a·b. Like the marginals' Σ², it saturates at the `i128` limits
+    /// rather than wrapping.
     pub sum_ab: i128,
-    /// Σ a².
-    pub sum_aa: i128,
-    /// Σ b².
-    pub sum_bb: i128,
+    /// The left side's matched values.
+    pub a: PartialState,
+    /// The right side's matched values.
+    pub b: PartialState,
 }
 
 impl PairMoments {
     /// Folds one matched pair.
     pub fn push(&mut self, a: i64, b: i64) {
-        let (a, b) = (a as i128, b as i128);
-        self.n += 1;
-        self.sum_a += a;
-        self.sum_b += b;
-        self.sum_ab = self.sum_ab.saturating_add(a * b);
-        self.sum_aa = self.sum_aa.saturating_add(a * a);
-        self.sum_bb = self.sum_bb.saturating_add(b * b);
+        self.sum_ab = self.sum_ab.saturating_add(i128::from(a) * i128::from(b));
+        self.a.push(a);
+        self.b.push(b);
     }
 
     /// Population covariance.
     pub fn covariance(&self) -> Option<f64> {
-        if self.n == 0 {
+        if self.a.count == 0 {
             return None;
         }
-        let n = self.n as f64;
-        Some(self.sum_ab as f64 / n - (self.sum_a as f64 / n) * (self.sum_b as f64 / n))
+        let n = self.a.count as f64;
+        Some(self.sum_ab as f64 / n - (self.a.sum_f64() / n) * (self.b.sum_f64() / n))
     }
 
-    /// Pearson correlation.
+    /// Pearson correlation, over the marginals' VARIANCE.
     pub fn correlation(&self) -> Option<f64> {
-        if self.n == 0 {
-            return None;
-        }
-        let n = self.n as f64;
-        // Marginal variances are non-negative; clamp away f64 rounding
-        // (and Σx² saturation at extreme magnitudes) before the sqrt.
-        let var_a = (self.sum_aa as f64 / n - (self.sum_a as f64 / n).powi(2)).max(0.0);
-        let var_b = (self.sum_bb as f64 / n - (self.sum_b as f64 / n).powi(2)).max(0.0);
-        let denom = (var_a * var_b).sqrt();
-        (denom > 0.0).then(|| self.covariance().unwrap() / denom)
+        let denom = (self.a.variance()? * self.b.variance()?).sqrt();
+        (denom > 0.0).then(|| self.covariance().unwrap_or(f64::NAN) / denom)
     }
 }
 
 /// Converts final pair moments into the paired aggregate's result cell.
 pub fn finalize_pair(func: PairAggFunc, m: PairMoments) -> Value {
-    if m.n == 0 {
+    if m.a.count == 0 {
         return Value::Null;
     }
     match func {
@@ -221,44 +204,34 @@ pub(crate) fn flatten_scan(plan: &Plan) -> Result<(String, Predicate)> {
 /// Converts a final [`PartialState`] into the result cell for `func`:
 /// quantiles read the t-digest sketch, `RATE`/`DELTA` read the exact
 /// first/last values and timestamps, and the rest read the exact
-/// moments. Float sources ([`PartialState::float`]) answer in
-/// [`Value::Float`] (COUNT stays [`Value::Int`]).
+/// moments. Float sources ([`Sums::Float`]) answer in [`Value::Float`]
+/// (COUNT stays [`Value::Int`]).
 pub fn finalize(func: AggFunc, state: &PartialState) -> Value {
-    let agg = &state.agg;
-    if agg.count == 0 {
+    if state.count == 0 {
         return Value::Null;
     }
-    if let Some(sums) = state.float {
-        let n = agg.count as f64;
-        let float = |v: Option<i64>| v.map_or(Value::Null, |v| Value::Float(ordered_i64_to_f64(v)));
-        match func {
-            AggFunc::Sum => return Value::Float(sums.sum),
-            AggFunc::Avg => return Value::Float(sums.sum / n),
-            // Clamp: population variance is non-negative, but the
-            // E[x²]−mean² form can round below zero in f64.
-            AggFunc::Variance => {
-                return Value::Float((sums.sum_sq / n - (sums.sum / n).powi(2)).max(0.0))
-            }
-            AggFunc::Min => return float(agg.min),
-            AggFunc::Max => return float(agg.max),
-            AggFunc::First => return float(agg.first),
-            AggFunc::Last => return float(agg.last),
-            // COUNT is an integer on every series; quantiles and
-            // rate/delta never compile over float series.
-            _ => {}
-        }
-    }
+    let n = state.count as f64;
+    let float = matches!(state.sums, Sums::Float { .. });
+    let cell = |v: Option<i64>| match v {
+        None => Value::Null,
+        Some(v) if float => Value::Float(ordered_i64_to_f64(v)),
+        Some(v) => Value::Int(v),
+    };
     match func {
-        AggFunc::Sum => i64::try_from(agg.sum)
-            .map(Value::Int)
-            .unwrap_or(Value::Float(agg.sum as f64)),
-        AggFunc::Count => Value::Int(agg.count as i64),
-        AggFunc::Avg => agg.avg().map(Value::Float).unwrap_or(Value::Null),
-        AggFunc::Min => agg.min.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Max => agg.max.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Variance => agg.variance().map(Value::Float).unwrap_or(Value::Null),
-        AggFunc::First => agg.first.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Last => agg.last.map(Value::Int).unwrap_or(Value::Null),
+        AggFunc::Sum => match state.sums {
+            Sums::Int { sum, .. } => i64::try_from(sum)
+                .map(Value::Int)
+                .unwrap_or(Value::Float(sum as f64)),
+            Sums::Float { sum, .. } => Value::Float(sum),
+        },
+        AggFunc::Count => Value::Int(state.count as i64),
+        AggFunc::Avg => Value::Float(state.sum_f64() / n),
+        AggFunc::Min => cell(state.min),
+        AggFunc::Max => cell(state.max),
+        AggFunc::Variance => state.variance().map(Value::Float).unwrap_or(Value::Null),
+        AggFunc::First => cell(state.first),
+        AggFunc::Last => cell(state.last),
+        // Quantiles and rate/delta never compile over float series.
         AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => {
             let q = func.quantile().unwrap_or(0.5);
             match &state.digest {
@@ -266,7 +239,7 @@ pub fn finalize(func: AggFunc, state: &PartialState) -> Value {
                 _ => Value::Null,
             }
         }
-        AggFunc::Rate => match (agg.first, agg.last, state.first_ts, state.last_ts) {
+        AggFunc::Rate => match (state.first, state.last, state.first_ts, state.last_ts) {
             (Some(f), Some(l), Some(ft), Some(lt)) if ft != lt => {
                 // i128 intermediates: the value or time span may exceed
                 // i64 even though each endpoint fits.
@@ -276,7 +249,7 @@ pub fn finalize(func: AggFunc, state: &PartialState) -> Value {
             }
             _ => Value::Null, // fewer than two distinct instants
         },
-        AggFunc::Delta => match (agg.first, agg.last) {
+        AggFunc::Delta => match (state.first, state.last) {
             (Some(f), Some(l)) => {
                 let dv = l as i128 - f as i128;
                 i64::try_from(dv)

@@ -6,7 +6,7 @@
 //! boundary timestamps across the two series and partitions that keep no
 //! pages at all.
 
-use etsqp_core::expr::{BinOp, CmpOp, Plan, TimeRange};
+use etsqp_core::expr::{BinOp, CmpOp, Plan, Predicate, TimeRange};
 use etsqp_core::oracle;
 use etsqp_core::physical::node::RootNode;
 use etsqp_core::physical::pipe;
@@ -227,6 +227,84 @@ fn one_empty_side_degenerates_cleanly() {
             let cfg = cfg_with(threads, true);
             assert_partition_tiling(&partitions_of(&plan, &store, &cfg), threads);
             assert_eq!(rows_of(&plan, &store, &cfg), want);
+        }
+    }
+}
+
+/// Q4 (`l + r` on equal timestamps), Q5 (time-ordered union) and Q6
+/// (natural join) over `l` and `r`, each side filtered by `lpred`/`rpred`.
+fn q4_q5_q6(lpred: Predicate, rpred: Predicate) -> Vec<Plan> {
+    let side = |name: &str, pred: Predicate| Box::new(Plan::scan(name).filter(pred));
+    vec![
+        Plan::JoinExpr {
+            left: side("l", lpred),
+            right: side("r", rpred),
+            op: BinOp::Add,
+        },
+        Plan::Union {
+            left: side("l", lpred),
+            right: side("r", rpred),
+        },
+        Plan::Join {
+            left: side("l", lpred),
+            right: side("r", rpred),
+            on: None,
+        },
+    ]
+}
+
+/// The pruning counters of a binary merge are the planner's §V verdicts
+/// (the EXPLAIN `pruned` lines), charged once per page: a partition
+/// skipping a page outside its time range prunes nothing. Without a
+/// WHERE clause nothing is pruned at all.
+#[test]
+fn merge_pruning_counters_match_planner_verdicts() {
+    let store = SeriesStore::new(PAGE_POINTS);
+    for (name, gaps) in [("l", false), ("r", true)] {
+        store.create_series(name, Encoding::Ts2Diff, Encoding::Ts2Diff);
+        // Every 4th right-hand point is missing, so pages of the two
+        // sides start at different timestamps. Values climb by page, so
+        // value filters prune whole pages.
+        let idx: Vec<i64> = (0..640i64).filter(|i| !gaps || i % 4 != 1).collect();
+        let ts: Vec<i64> = idx.iter().map(|i| i * 10).collect();
+        let vals: Vec<i64> = idx.iter().map(|i| (i / 16) % 20 * 10 + i % 3).collect();
+        store.append_all(name, &ts, &vals).unwrap();
+        store.flush(name).unwrap();
+    }
+    let cases = [
+        (Predicate::default(), Predicate::default()),
+        (Predicate::time(1_000, 3_000), Predicate::time(2_000, 5_000)),
+        (Predicate::value(0, 45), Predicate::value(120, 160)),
+        (
+            Predicate::time(500, 4_000).and(&Predicate::value(30, 90)),
+            Predicate::default(),
+        ),
+    ];
+    for (lpred, rpred) in cases {
+        for plan in q4_q5_q6(lpred, rpred) {
+            let (_, want) = oracle::execute(&plan, &store).unwrap();
+            for threads in [1usize, 3, 8] {
+                let cfg = cfg_with(threads, true);
+                let phys = pipe::compile(&plan, &store, &cfg).unwrap();
+                let pruned: Vec<_> = phys
+                    .pipelines
+                    .iter()
+                    .flat_map(|p| &p.decisions)
+                    .filter(|d| !d.verdict.kept())
+                    .collect();
+                let pages = pruned.len() as u64;
+                let tuples: u64 = pruned.iter().map(|d| d.tuples).sum();
+                let got = execute(&plan, &store, &cfg).unwrap();
+                assert_eq!(got.rows, want, "{plan:?} at {threads} threads");
+                assert_eq!(
+                    (got.stats.pages_pruned, got.stats.tuples_pruned),
+                    (pages, tuples),
+                    "{plan:?} at {threads} threads"
+                );
+                if lpred.is_trivial() && rpred.is_trivial() {
+                    assert_eq!((pages, tuples), (0, 0));
+                }
+            }
         }
     }
 }

@@ -16,7 +16,7 @@
 //!    against a sorted-oracle rank (the end-to-end restatement of 3).
 
 use etsqp_core::engine::{EngineOptions, IotDb};
-use etsqp_core::expr::{AggFunc, Plan};
+use etsqp_core::expr::{AggFunc, Plan, ValueType};
 use etsqp_core::partial::{PartialState, TDigest};
 use etsqp_core::plan::Value;
 use etsqp_encoding::Encoding;
@@ -48,7 +48,7 @@ fn series_strategy() -> impl Strategy<Value = Series> {
 
 /// Folds `series[range]` into a fresh partial for `func`.
 fn fold(func: AggFunc, s: &Series, lo: usize, hi: usize) -> PartialState {
-    let mut p = PartialState::new(func);
+    let mut p = PartialState::new(func, ValueType::I64);
     for i in lo..hi {
         p.push_tv(s.ts[i], s.vals[i]);
     }
@@ -57,7 +57,9 @@ fn fold(func: AggFunc, s: &Series, lo: usize, hi: usize) -> PartialState {
 
 /// The exact (non-sketch) fields, for bit-identical comparison.
 fn exact_fields(p: &PartialState) -> impl PartialEq + std::fmt::Debug {
-    (p.agg, p.first_ts, p.last_ts)
+    (
+        p.count, p.sums, p.min, p.max, p.first, p.last, p.first_ts, p.last_ts,
+    )
 }
 
 /// Rank of `est` among `sorted` (values ≤ est), for the error bound.
@@ -130,7 +132,7 @@ proptest! {
     fn empty_partial_is_identity(s in series_strategy()) {
         for func in [AggFunc::Sum, AggFunc::P95, AggFunc::First, AggFunc::Rate] {
             let full = fold(func, &s, 0, s.ts.len());
-            let empty = PartialState::new(func);
+            let empty = PartialState::new(func, ValueType::I64);
 
             let mut right = full.clone();
             right.merge(&empty);
@@ -151,7 +153,7 @@ proptest! {
     ) {
         let n = s.ts.len();
         let step = n.div_ceil(chunks);
-        let mut merged = PartialState::new(AggFunc::P50);
+        let mut merged = PartialState::new(AggFunc::P50, ValueType::I64);
         let mut lo = 0;
         while lo < n {
             let hi = (lo + step).min(n);

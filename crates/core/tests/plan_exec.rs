@@ -4,9 +4,9 @@
 
 use etsqp_core::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate};
 use etsqp_core::fused::FuseLevel;
+use etsqp_core::partial::PartialState;
 use etsqp_core::plan::{execute, finalize, PipelineConfig, Value};
 use etsqp_encoding::Encoding;
-use etsqp_simd::agg::AggState;
 use etsqp_storage::store::SeriesStore;
 
 fn store_with(series: &str, ts: &[i64], vals: &[i64], page_points: usize) -> SeriesStore {
@@ -51,9 +51,9 @@ fn all_agg_functions_match_naive() {
         let plan = Plan::scan("s").aggregate(func);
         let r = execute(&plan, &store, &cfg()).unwrap();
         let got = r.rows[0][0];
-        let mut naive = AggState::new();
+        let mut naive = PartialState::default();
         vals.iter().for_each(|&v| naive.push(v));
-        let want = finalize(func, &naive.into());
+        let want = finalize(func, &naive);
         match (got, want) {
             (Value::Float(a), Value::Float(b)) => assert!((a - b).abs() < 1e-9, "{func:?}"),
             (a, b) => assert_eq!(a, b, "{func:?}"),
@@ -439,9 +439,9 @@ fn stream_vbyte_values_use_svb_fusion() {
     for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Count] {
         let plan = Plan::scan("s").aggregate(func);
         let r = execute(&plan, &store, &config).unwrap();
-        let mut naive = AggState::new();
+        let mut naive = PartialState::default();
         vals.iter().for_each(|&v| naive.push(v));
-        let want = finalize(func, &naive.into());
+        let want = finalize(func, &naive);
         match (r.rows[0][0], want) {
             (Value::Float(a), Value::Float(b)) => assert!((a - b).abs() < 1e-9, "{func:?}"),
             (a, b) => assert_eq!(a, b, "{func:?}"),
@@ -506,9 +506,9 @@ fn delta_rle_values_use_full_fusion() {
             },
         )
         .unwrap();
-        let mut naive = AggState::new();
+        let mut naive = PartialState::default();
         vals.iter().for_each(|&v| naive.push(v));
-        let want = finalize(func, &naive.into());
+        let want = finalize(func, &naive);
         match (r.rows[0][0], want) {
             (Value::Float(a), Value::Float(b)) => assert!((a - b).abs() < 1e-9, "{func:?}"),
             (a, b) => assert_eq!(a, b, "{func:?}"),

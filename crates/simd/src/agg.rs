@@ -2,6 +2,8 @@
 //! with the overflow behaviour of §VI-C: SIMD lanes accumulate in 64 bits
 //! with sign-rule overflow detection, and overflowing blocks are
 //! recomputed with a wider (`i128`) quantity, so every result is exact.
+//! The mergeable state these kernels fill lives with the query engine
+//! (`etsqp_core::partial::PartialState`).
 
 use crate::backend::dispatch;
 
@@ -31,126 +33,6 @@ pub fn min_max_i64(vals: &[i64]) -> Option<(i64, i64)> {
 pub fn masked_min_max_i64(vals: &[i64], mask: &[u64]) -> Option<(i64, i64)> {
     assert!(mask.len() * 64 >= vals.len(), "mask too small");
     dispatch!(masked_min_max_i64(vals, mask))
-}
-
-/// Running aggregate state combining partial results from pipeline jobs
-/// (the `Merge` node of Algorithm 2 uses this).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AggState {
-    /// Exact running sum.
-    pub sum: i128,
-    /// Number of aggregated values.
-    pub count: u64,
-    /// Minimum seen, if any value was aggregated.
-    pub min: Option<i64>,
-    /// Maximum seen, if any value was aggregated.
-    pub max: Option<i64>,
-    /// Running sum of squares (for VAR / STDDEV). Saturates at the
-    /// `i128` limits: Σx² of a few dozen values near `i64::MAX` exceeds
-    /// 2¹²⁷, and VARIANCE is finalized in `f64` where magnitudes that
-    /// extreme have long lost integer precision anyway.
-    pub sum_sq: i128,
-    /// First aggregated value in time order (FIRST_VALUE).
-    pub first: Option<i64>,
-    /// Last aggregated value in time order (LAST_VALUE).
-    pub last: Option<i64>,
-}
-
-impl AggState {
-    /// Empty state (identity of [`AggState::merge`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one value into the state.
-    pub fn push(&mut self, v: i64) {
-        self.sum += v as i128;
-        self.sum_sq = self.sum_sq.saturating_add((v as i128) * (v as i128));
-        self.count = self.count.saturating_add(1);
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
-        self.first.get_or_insert(v);
-        self.last = Some(v);
-    }
-
-    /// Merges another partial state (associative, commutative).
-    pub fn merge(&mut self, other: &AggState) {
-        // Σx over 2⁶⁴ i64 values stays inside i128; saturating keeps the
-        // theoretical limit panic-free without costing exactness.
-        self.sum = self.sum.saturating_add(other.sum);
-        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
-        self.count = self.count.saturating_add(other.count);
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        // Partials merge in time order: keep the earliest first and the
-        // latest last.
-        self.first = self.first.or(other.first);
-        self.last = other.last.or(self.last);
-    }
-
-    /// Average as a float; `None` when no values were aggregated.
-    pub fn avg(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Population variance; `None` when no values were aggregated.
-    pub fn variance(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.count as f64;
-        let mean = self.sum as f64 / n;
-        // Population variance is non-negative by definition; the clamp
-        // absorbs f64 rounding and, at extreme magnitudes, the Σx²
-        // saturation which can otherwise push the estimate below zero.
-        Some((self.sum_sq as f64 / n - mean * mean).max(0.0))
-    }
-
-    /// Aggregates a dense slice of decoded values with SIMD kernels.
-    pub fn push_slice(&mut self, vals: &[i64]) {
-        if vals.is_empty() {
-            return;
-        }
-        self.sum = self.sum.saturating_add(sum_i64(vals));
-        self.sum_sq = vals.iter().fold(self.sum_sq, |acc, &v| {
-            acc.saturating_add((v as i128) * (v as i128))
-        });
-        self.count = self.count.saturating_add(vals.len() as u64);
-        if let Some((mn, mx)) = min_max_i64(vals) {
-            self.min = Some(self.min.map_or(mn, |m| m.min(mn)));
-            self.max = Some(self.max.map_or(mx, |m| m.max(mx)));
-        }
-        self.first.get_or_insert(vals[0]);
-        self.last = vals.last().copied().or(self.last);
-    }
-
-    /// Aggregates mask-selected values with SIMD kernels.
-    pub fn push_masked(&mut self, vals: &[i64], mask: &[u64]) {
-        let (s, c) = masked_sum_i64(vals, mask);
-        self.sum = self.sum.saturating_add(s);
-        self.count = self.count.saturating_add(c);
-        for (i, &v) in vals.iter().enumerate() {
-            if mask[i / 64] & (1u64 << (i % 64)) != 0 {
-                self.sum_sq = self.sum_sq.saturating_add((v as i128) * (v as i128));
-            }
-        }
-        if let Some((mn, mx)) = masked_min_max_i64(vals, mask) {
-            self.min = Some(self.min.map_or(mn, |m| m.min(mn)));
-            self.max = Some(self.max.map_or(mx, |m| m.max(mx)));
-        }
-        for (i, &v) in vals.iter().enumerate() {
-            if mask[i / 64] & (1u64 << (i % 64)) != 0 {
-                self.first.get_or_insert(v);
-                self.last = Some(v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -215,38 +97,5 @@ mod tests {
         assert_eq!(min_max_i64(&[3]), Some((3, 3)));
         let vals: Vec<i64> = vec![5, -2, 9, 0, 7, -8, 3, 3, 1];
         assert_eq!(min_max_i64(&vals), Some((-8, 9)));
-    }
-
-    #[test]
-    fn agg_state_merge_is_associative() {
-        let vals: Vec<i64> = (0..97).map(|i| i * i - 50).collect();
-        let mut whole = AggState::new();
-        whole.push_slice(&vals);
-        let mut left = AggState::new();
-        left.push_slice(&vals[..31]);
-        let mut right = AggState::new();
-        right.push_slice(&vals[31..]);
-        left.merge(&right);
-        assert_eq!(left, whole);
-    }
-
-    #[test]
-    fn agg_state_avg_variance() {
-        let mut s = AggState::new();
-        s.push_slice(&[2, 4, 6, 8]);
-        assert_eq!(s.avg(), Some(5.0));
-        assert_eq!(s.variance(), Some(5.0)); // population variance of 2,4,6,8
-        assert_eq!(s.min, Some(2));
-        assert_eq!(s.max, Some(8));
-    }
-
-    #[test]
-    fn push_and_push_slice_agree() {
-        let vals: Vec<i64> = (-20..20).collect();
-        let mut a = AggState::new();
-        let mut b = AggState::new();
-        vals.iter().for_each(|&v| a.push(v));
-        b.push_slice(&vals);
-        assert_eq!(a, b);
     }
 }

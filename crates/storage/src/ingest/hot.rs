@@ -21,13 +21,12 @@
 //!
 //! Queries never read the live buffers: [`HotChunk::snapshot`] clones
 //! the buffered columns under the owning series lock into an immutable
-//! [`HotIntSnapshot`] / [`HotFloatSnapshot`], giving readers a
-//! point-in-time prefix of the append stream (see DESIGN.md §11 for the
-//! consistency rules).
+//! [`HotSnapshot`], giving readers a point-in-time prefix of the append
+//! stream (see DESIGN.md §11 for the consistency rules).
 
 use std::sync::Arc;
 
-use etsqp_encoding::{f64_to_ordered_i64, Encoding};
+use etsqp_encoding::Encoding;
 
 use crate::page::Page;
 use crate::{Error, Result};
@@ -64,7 +63,10 @@ fn should_seal(
     }
 }
 
-/// The integer-valued hot chunk.
+/// A series' hot chunk. A float series buffers its values as
+/// `f64_to_ordered_i64` images — the domain the query engine reads float
+/// columns in — and [`Page::encode`] maps them back to `f64` for the
+/// float codec when the chunk seals.
 #[derive(Debug)]
 pub struct HotChunk {
     ts_encoding: Encoding,
@@ -112,6 +114,12 @@ impl HotChunk {
         self.ts.is_empty()
     }
 
+    /// Whether the series stores floats (its value codec is a float
+    /// codec, and its buffered values are ordered-i64 images).
+    pub fn is_float(&self) -> bool {
+        self.val_encoding.is_float()
+    }
+
     /// Appends one point; timestamps must be strictly increasing across
     /// the whole series (buffered *and* previously sealed points).
     /// Returns the sealed page when this point crossed a threshold.
@@ -150,7 +158,7 @@ impl HotChunk {
     }
 
     /// Immutable copy of the buffered columns; `None` when empty.
-    pub fn snapshot(&self) -> Option<HotIntSnapshot> {
+    pub fn snapshot(&self) -> Option<HotSnapshot> {
         if self.ts.is_empty() {
             return None;
         }
@@ -159,7 +167,7 @@ impl HotChunk {
             min_v = min_v.min(v);
             max_v = max_v.max(v);
         }
-        Some(HotIntSnapshot {
+        Some(HotSnapshot {
             ts: Arc::new(self.ts.clone()),
             vals: Arc::new(self.vals.clone()),
             min_value: min_v,
@@ -170,148 +178,17 @@ impl HotChunk {
     }
 }
 
-/// The float-valued hot chunk (value codec is an XOR family codec).
-#[derive(Debug)]
-pub struct HotChunkF64 {
-    ts_encoding: Encoding,
-    val_encoding: Encoding,
-    page_points: usize,
-    seal_interval: Option<i64>,
-    ts: Vec<i64>,
-    vals: Vec<f64>,
-    last_sealed_ts: Option<i64>,
-}
-
-impl HotChunkF64 {
-    /// Creates an empty float chunk (`val_encoding` must be a float codec).
-    pub fn new(
-        ts_encoding: Encoding,
-        val_encoding: Encoding,
-        page_points: usize,
-        seal_interval: Option<i64>,
-    ) -> Self {
-        assert!(page_points > 0, "page size must be positive");
-        assert!(val_encoding.is_float(), "value codec must be a float codec");
-        HotChunkF64 {
-            ts_encoding,
-            val_encoding,
-            page_points,
-            seal_interval,
-            ts: Vec::with_capacity(page_points),
-            vals: Vec::with_capacity(page_points),
-            last_sealed_ts: None,
-        }
-    }
-
-    /// Buffered (unsealed) point count.
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
-    }
-
-    /// Appends one float point; see [`HotChunk::push`].
-    pub fn push(&mut self, ts: i64, value: f64) -> Result<Option<Page>> {
-        check_order(ts, self.ts.last().copied(), self.last_sealed_ts)?;
-        self.ts.push(ts);
-        self.vals.push(value);
-        if should_seal(
-            self.ts.len(),
-            self.ts[0],
-            ts,
-            self.page_points,
-            self.seal_interval,
-        ) {
-            return self.seal();
-        }
-        Ok(None)
-    }
-
-    /// Seals the buffer into a checksummed page; `None` when empty.
-    pub fn seal(&mut self) -> Result<Option<Page>> {
-        if self.ts.is_empty() {
-            return Ok(None);
-        }
-        let page = Page::encode_f64(&self.ts, &self.vals, self.ts_encoding, self.val_encoding)?;
-        self.last_sealed_ts = Some(page.header.last_ts);
-        self.ts.clear();
-        self.vals.clear();
-        Ok(Some(page))
-    }
-
-    /// Immutable copy of the buffered columns; `None` when empty.
-    pub fn snapshot(&self) -> Option<HotFloatSnapshot> {
-        if self.ts.is_empty() {
-            return None;
-        }
-        let (mut min_v, mut max_v) = (i64::MAX, i64::MIN);
-        for &v in &self.vals {
-            let m = f64_to_ordered_i64(v);
-            min_v = min_v.min(m);
-            max_v = max_v.max(m);
-        }
-        Some(HotFloatSnapshot {
-            ts: Arc::new(self.ts.clone()),
-            vals: Arc::new(self.vals.clone()),
-            min_value: min_v,
-            max_value: max_v,
-        })
-    }
-}
-
-/// Either kind of hot chunk, as stored per series.
-#[derive(Debug)]
-pub enum Hot {
-    /// Integer-valued series.
-    Int(HotChunk),
-    /// Float-valued series.
-    Float(HotChunkF64),
-}
-
-impl Hot {
-    /// Buffered point count of either kind.
-    pub fn len(&self) -> usize {
-        match self {
-            Hot::Int(h) => h.len(),
-            Hot::Float(h) => h.len(),
-        }
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Seals either kind; `None` when empty.
-    pub fn seal(&mut self) -> Result<Option<Page>> {
-        match self {
-            Hot::Int(h) => h.seal(),
-            Hot::Float(h) => h.seal(),
-        }
-    }
-
-    /// Snapshots either kind; `None` when empty.
-    pub fn snapshot(&self) -> Option<HotSnapshot> {
-        match self {
-            Hot::Int(h) => h.snapshot().map(HotSnapshot::Int),
-            Hot::Float(h) => h.snapshot().map(HotSnapshot::Float),
-        }
-    }
-}
-
-/// A point-in-time copy of an integer hot chunk's buffered columns.
+/// A point-in-time copy of a hot chunk's buffered columns.
 ///
 /// Cheaply cloneable (`Arc` columns); exact `min/max` statistics are
 /// computed at snapshot time, so §V-style pruning of the hot chunk uses
 /// true bounds, not estimates.
 #[derive(Debug, Clone)]
-pub struct HotIntSnapshot {
+pub struct HotSnapshot {
     /// Buffered timestamps (strictly increasing).
     pub ts: Arc<Vec<i64>>,
-    /// Buffered values, aligned with `ts`.
+    /// Buffered values, aligned with `ts` (ordered-i64 images on a
+    /// float series).
     pub vals: Arc<Vec<i64>>,
     /// Exact minimum of `vals`.
     pub min_value: i64,
@@ -323,7 +200,7 @@ pub struct HotIntSnapshot {
     pub val_encoding: Encoding,
 }
 
-impl HotIntSnapshot {
+impl HotSnapshot {
     /// Buffered point count (never zero — empty chunks snapshot to `None`).
     pub fn len(&self) -> usize {
         self.ts.len()
@@ -340,55 +217,6 @@ impl HotIntSnapshot {
     /// pipelines use so partitioned merges see hot data as one more page.
     pub fn to_page(&self) -> Result<Page> {
         Page::encode(&self.ts, &self.vals, self.ts_encoding, self.val_encoding)
-    }
-}
-
-/// A point-in-time copy of a float hot chunk's buffered columns.
-#[derive(Debug, Clone)]
-pub struct HotFloatSnapshot {
-    /// Buffered timestamps (strictly increasing).
-    pub ts: Arc<Vec<i64>>,
-    /// Buffered values, aligned with `ts`.
-    pub vals: Arc<Vec<f64>>,
-    /// Exact minimum in the order-preserving `f64 → i64` mapped domain.
-    pub min_value: i64,
-    /// Exact maximum in the mapped domain.
-    pub max_value: i64,
-}
-
-impl HotFloatSnapshot {
-    /// Buffered point count (never zero — empty chunks snapshot to `None`).
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    /// See [`HotIntSnapshot::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
-    }
-}
-
-/// A snapshot of either kind of hot chunk.
-#[derive(Debug, Clone)]
-pub enum HotSnapshot {
-    /// Integer-valued series.
-    Int(HotIntSnapshot),
-    /// Float-valued series.
-    Float(HotFloatSnapshot),
-}
-
-impl HotSnapshot {
-    /// Buffered point count of either kind.
-    pub fn len(&self) -> usize {
-        match self {
-            HotSnapshot::Int(h) => h.len(),
-            HotSnapshot::Float(h) => h.len(),
-        }
-    }
-
-    /// Whether the snapshot is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -506,15 +334,21 @@ mod tests {
 
     #[test]
     fn float_chunk_seals_and_snapshots() {
-        let mut h = HotChunkF64::new(Encoding::Ts2Diff, Encoding::Chimp, 3, None);
-        assert!(h.push(0, 1.5).unwrap().is_none());
-        assert!(h.push(1, -2.5).unwrap().is_none());
+        use etsqp_encoding::f64_to_ordered_i64 as image;
+        let mut h = HotChunk::new(Encoding::Ts2Diff, Encoding::Chimp, 3, None);
+        assert!(h.is_float());
+        assert!(h.push(0, image(1.5)).unwrap().is_none());
+        assert!(h.push(1, image(-2.5)).unwrap().is_none());
         let snap = h.snapshot().unwrap();
-        assert_eq!(snap.min_value, f64_to_ordered_i64(-2.5));
-        assert_eq!(snap.max_value, f64_to_ordered_i64(1.5));
-        let page = h.push(2, 9.0).unwrap().expect("3rd point seals");
+        assert_eq!(snap.min_value, image(-2.5));
+        assert_eq!(snap.max_value, image(1.5));
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let page = h.push(2, image(nan)).unwrap().expect("3rd point seals");
+        assert_eq!(page.header.min_value, image(-2.5));
+        assert_eq!(page.header.max_value, image(nan));
         let (_, vals) = page.decode_f64().unwrap();
-        assert_eq!(vals, vec![1.5, -2.5, 9.0]);
-        assert!(matches!(h.push(2, 0.0), Err(Error::OutOfOrder { .. })));
+        assert_eq!(vals[..2], [1.5, -2.5]);
+        assert_eq!(vals[2].to_bits(), nan.to_bits(), "NaN payload survives");
+        assert!(matches!(h.push(2, 0), Err(Error::OutOfOrder { .. })));
     }
 }

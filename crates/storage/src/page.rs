@@ -1,7 +1,7 @@
 //! Encoded pages: the unit of storage, decoding, pruning and scheduling.
 
 use bytes::Bytes;
-use etsqp_encoding::Encoding;
+use etsqp_encoding::{ordered_i64_to_f64, Encoding};
 
 use crate::{Error, Result};
 
@@ -171,6 +171,12 @@ impl Page {
 
     /// Builds a page by encoding `(timestamps, values)` with the given
     /// codecs. Timestamps must be strictly increasing and non-empty.
+    ///
+    /// Under a float value codec, `values` are the order-preserving
+    /// `f64_to_ordered_i64` images of the floats: the chunk stores the
+    /// floats they map back to (a bijection on bits, so NaN payloads and
+    /// `-0.0` survive), and the header min/max hold the extreme images,
+    /// so page-level range pruning works unchanged.
     pub fn encode(
         timestamps: &[i64],
         values: &[i64],
@@ -201,43 +207,12 @@ impl Page {
                 val_encoding,
             },
             Bytes::from(ts_encoding.encode_i64(timestamps)),
-            Bytes::from(val_encoding.encode_i64(values)),
-        ))
-    }
-
-    /// Builds a page from a float value column: the value chunk uses a
-    /// float XOR codec; header min/max hold the order-preserving integer
-    /// mapping of the float extremes, so page-level range pruning works
-    /// unchanged (compare against `f64_to_ordered_i64` of the bounds).
-    pub fn encode_f64(
-        timestamps: &[i64],
-        values: &[f64],
-        ts_encoding: Encoding,
-        val_encoding: Encoding,
-    ) -> Result<Page> {
-        assert_eq!(timestamps.len(), values.len(), "column length mismatch");
-        assert!(!timestamps.is_empty(), "empty page");
-        assert!(val_encoding.is_float(), "value codec must be a float codec");
-        let (mut min_v, mut max_v) = (i64::MAX, i64::MIN);
-        for &v in values {
-            let m = etsqp_encoding::f64_to_ordered_i64(v);
-            min_v = min_v.min(m);
-            max_v = max_v.max(m);
-        }
-        Ok(Page::new(
-            PageHeader {
-                count: timestamps.len() as u32,
-                first_ts: timestamps[0],
-                // lint:allow(no-panic-paths) -- encode side: non-empty
-                // is asserted above; no untrusted bytes reach here.
-                last_ts: *timestamps.last().unwrap(),
-                min_value: min_v,
-                max_value: max_v,
-                ts_encoding,
-                val_encoding,
-            },
-            Bytes::from(ts_encoding.encode_i64(timestamps)),
-            Bytes::from(val_encoding.encode_f64(values)),
+            Bytes::from(if val_encoding.is_float() {
+                let floats: Vec<f64> = values.iter().map(|&v| ordered_i64_to_f64(v)).collect();
+                val_encoding.encode_f64(&floats)
+            } else {
+                val_encoding.encode_i64(values)
+            }),
         ))
     }
 
@@ -414,7 +389,11 @@ mod tests {
         let ts: Vec<i64> = (0..50).map(|i| i * 10).collect();
         let vals: Vec<f64> = (0..50).map(|i| 20.0 + (i as f64) * 0.25 - 3.0).collect();
         for enc in [Encoding::GorillaFloat, Encoding::Chimp, Encoding::Elf] {
-            let page = Page::encode_f64(&ts, &vals, Encoding::Ts2Diff, enc).unwrap();
+            let images: Vec<i64> = vals
+                .iter()
+                .map(|&v| etsqp_encoding::f64_to_ordered_i64(v))
+                .collect();
+            let page = Page::encode(&ts, &images, Encoding::Ts2Diff, enc).unwrap();
             let (t2, v2) = page.decode_f64().unwrap();
             assert_eq!(t2, ts);
             for (a, b) in v2.iter().zip(&vals) {

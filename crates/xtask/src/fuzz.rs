@@ -181,8 +181,10 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
                 }
             }
             let ts: Vec<i64> = (0..128i64).map(|i| i * 5).collect();
-            let vals: Vec<f64> = (0..128).map(|i| 20.0 + i as f64 * 0.25).collect();
-            if let Ok(p) = Page::encode_f64(&ts, &vals, Encoding::Ts2Diff, Encoding::Chimp) {
+            let vals: Vec<i64> = (0..128)
+                .map(|i| etsqp_encoding::f64_to_ordered_i64(20.0 + i as f64 * 0.25))
+                .collect();
+            if let Ok(p) = Page::encode(&ts, &vals, Encoding::Ts2Diff, Encoding::Chimp) {
                 seeds.push(p.to_bytes());
             }
             seeds
@@ -192,15 +194,15 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
             // moments, timestamp bounds, quantile sketch, and empty.
             let mut seeds = Vec::new();
             for func in [AggFunc::Sum, AggFunc::P95, AggFunc::First, AggFunc::Rate] {
-                let mut s = PartialState::new(func);
+                let mut s = PartialState::new(func, ValueType::I64);
                 for i in 0..300i64 {
                     s.push_tv(1_000 + i * 10, (i * 37) % 211 - 100);
                 }
                 seeds.push(s.to_bytes());
             }
-            seeds.push(PartialState::new(AggFunc::Count).to_bytes());
+            seeds.push(PartialState::new(AggFunc::Count, ValueType::I64).to_bytes());
             // A float source's partial: the trailing f64 Σ/Σ² block.
-            let mut f = PartialState::for_source(AggFunc::Sum, ValueType::F64);
+            let mut f = PartialState::new(AggFunc::Sum, ValueType::F64);
             for i in 0..300i64 {
                 let v = (i as f64 * 0.37).sin() * 20.0;
                 f.push_tv(1_000 + i * 10, etsqp_encoding::f64_to_ordered_i64(v));
@@ -605,7 +607,7 @@ pub fn emit_corpus(dir: &Path) -> std::io::Result<usize> {
     // Partial-state wire format: one valid quantile partial, then the
     // hostile variants the parser must reject as typed errors.
     {
-        let mut state = PartialState::new(AggFunc::P95);
+        let mut state = PartialState::new(AggFunc::P95, ValueType::I64);
         for i in 0..300i64 {
             state.push_tv(1_000 + i * 10, (i * 37) % 211 - 100);
         }

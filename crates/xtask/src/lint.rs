@@ -75,7 +75,14 @@ pub const HOT_DIRS: [&str; 7] = [
 ];
 
 /// Accumulator/fused-kernel files: narrowing `as` casts are forbidden.
-pub const CAST_FILES: [&str; 2] = ["crates/core/src/fused.rs", "crates/simd/src/agg.rs"];
+/// `partial/mod.rs` holds the mergeable state's accumulators and folds;
+/// `physical/agg.rs` the slice-coefficient chain that resolves into it.
+pub const CAST_FILES: [&str; 4] = [
+    "crates/core/src/fused.rs",
+    "crates/simd/src/agg.rs",
+    "crates/core/src/partial/mod.rs",
+    "crates/core/src/physical/agg.rs",
+];
 
 /// Narrowing cast targets flagged by `no-lossy-cast`.
 const NARROW_TYPES: [&str; 7] = ["u8", "i8", "u16", "i16", "u32", "i32", "f32"];
